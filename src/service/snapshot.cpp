@@ -1,9 +1,11 @@
 #include "service/snapshot.hpp"
 
-#include <bit>
+#include <array>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,25 +55,51 @@ double bits_f64(std::uint64_t bits) noexcept {
 // Little-endian buffer writer / bounds-checked reader
 // ---------------------------------------------------------------------------
 
+std::uint64_t load_le64(const char* p) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    char b[4];
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    buf_.append(b, 4);
   }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    buf_.append(b, 8);
   }
   void f64(double v) { u64(f64_bits(v)); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     buf_.append(s);
   }
   void raw(const char* data, std::size_t n) { buf_.append(data, n); }
+  void reserve_more(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
+  // Sections are written in place as {tag u32, length u64, payload}: the
+  // length is back-patched by end_section, so no payload is ever copied.
+  [[nodiscard]] std::size_t begin_section(std::uint32_t tag) {
+    u32(tag);
+    const std::size_t at = buf_.size();
+    u64(0);
+    return at;
+  }
+  void end_section(std::size_t at) {
+    const std::uint64_t len = buf_.size() - at - 8;
+    for (int i = 0; i < 8; ++i) {
+      buf_[at + static_cast<std::size_t>(i)] =
+          static_cast<char>((len >> (8 * i)) & 0xff);
+    }
+  }
 
   [[nodiscard]] std::string take() { return std::move(buf_); }
   [[nodiscard]] const std::string& buffer() const noexcept { return buf_; }
@@ -80,6 +108,8 @@ class Writer {
   std::string buf_;
 };
 
+// Bounds-checked view over [data, data + size): reads never copy the
+// underlying bytes except into the decoded values themselves.
 class Reader {
  public:
   Reader(const char* data, std::size_t size, std::string where)
@@ -101,15 +131,7 @@ class Reader {
     return v;
   }
   [[nodiscard]] std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
+    return load_le64(span(8, what));
   }
   [[nodiscard]] double f64(const char* what) { return bits_f64(u64(what)); }
   [[nodiscard]] std::string str(const char* what) {
@@ -123,6 +145,13 @@ class Reader {
     std::string s(data_ + pos_, static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return s;
+  }
+  // Claims the next n bytes (bounds-checked once) and returns their start.
+  [[nodiscard]] const char* span(std::size_t n, const char* what) {
+    need(n, what);
+    const char* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
@@ -285,7 +314,7 @@ cluster::TraceConfig get_trace_config(Reader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Verification image: named (field, bits) pairs
+// Verification image: named (field, bits) scalars + a columnar flow table
 // ---------------------------------------------------------------------------
 
 struct ImageBuilder {
@@ -297,7 +326,7 @@ struct ImageBuilder {
   void addf(std::string name, double v) { add(std::move(name), f64_bits(v)); }
 };
 
-void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
+void build_verify_scalars(const ServiceLoop& loop, ImageBuilder& img) {
   const netsim::Simulator& sim = loop.sim();
   img.addf("sim.now", sim.now());
   img.addf("sim.epoch_time", sim.epoch_time());
@@ -380,31 +409,101 @@ void build_verify_image(const ServiceLoop& loop, ImageBuilder& img) {
   img.add("service.next_host", loop.next_host_cursor());
   img.add("service.last_launch_seq", loop.last_launch_seq());
   img.addf("service.last_arrival_at", loop.last_arrival_at());
+}
 
+// The per-flow record, one u64 word per column. Column names are written
+// once in the flow table's header; a mismatch is reported as
+// flow[<i>].<column>.
+constexpr std::array<const char*, 12> kFlowColumns = {
+    "state", "entered", "remaining", "rate", "start_time", "finish_time",
+    "weight", "has_rate_cap", "rate_cap", "route", "path_len", "path_digest"};
+using FlowRow = std::array<std::uint64_t, kFlowColumns.size()>;
+constexpr std::size_t kFlowRowBytes = sizeof(FlowRow);
+
+FlowRow flow_row(const netsim::Flow& f) {
+  std::uint64_t pdigest = kFnvOffset;
+  for (const LinkId link : f.path) {
+    const std::uint64_t word = link.value();
+    for (int b = 0; b < 8; ++b) {
+      pdigest ^= (word >> (8 * b)) & 0xff;
+      pdigest *= kFnvPrime;
+    }
+  }
+  return {static_cast<std::uint64_t>(f.state),
+          f.entered ? 1u : 0u,
+          f64_bits(f.remaining),
+          f64_bits(f.rate),
+          f64_bits(f.start_time),
+          f64_bits(f.finish_time),
+          f64_bits(f.weight),
+          f.rate_cap.has_value() ? 1u : 0u,
+          f64_bits(f.rate_cap.value_or(-1.0)),
+          f.route.valid() ? f.route.value() : ~std::uint64_t{0},
+          f.path.size(),
+          pdigest};
+}
+
+// Flow table: column count u32, the column names, row count u64, then one
+// fixed-width row of little-endian u64 words per flow.
+void put_flow_table(Writer& w, const netsim::Simulator& sim) {
+  w.u32(static_cast<std::uint32_t>(kFlowColumns.size()));
+  for (const char* column : kFlowColumns) w.str(column);
+  const std::size_t rows = sim.flow_count();
+  w.u64(rows);
+  w.reserve_more(rows * kFlowRowBytes);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (const std::uint64_t word : flow_row(sim.flow(FlowId{i}))) w.u64(word);
+  }
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
+}
+
+[[noreturn]] void throw_mismatch(const char* what, const std::string& name,
+                                 std::uint64_t saved, std::uint64_t fresh) {
+  throw SnapshotError("snapshot " + std::string(what) + ": '" + name +
+                      "' mismatch: saved 0x" + hex(saved) + " restored 0x" +
+                      hex(fresh) +
+                      " -- restored run diverged from the checkpointed one");
+}
+
+// Streams the saved rows against rows recomputed from the restored
+// simulator; nothing of the saved table is materialized.
+void verify_flow_table(Reader& r, const netsim::Simulator& sim) {
+  const std::uint32_t columns = r.u32("verify.column_count");
+  if (columns != kFlowColumns.size()) {
+    throw SnapshotError("snapshot verify: flow table has " +
+                        std::to_string(columns) + " columns, built " +
+                        std::to_string(kFlowColumns.size()));
+  }
+  for (const char* column : kFlowColumns) {
+    const std::string name = r.str("verify.column_name");
+    if (name != column) {
+      throw SnapshotError("snapshot verify: flow column '" + name +
+                          "' in the image but '" + column +
+                          "' in the restored state");
+    }
+  }
+  const std::uint64_t rows = r.u64("verify.row_count");
+  if (rows != sim.flow_count()) {
+    throw SnapshotError("snapshot verify: flow table has " +
+                        std::to_string(rows) + " rows, restored state has " +
+                        std::to_string(sim.flow_count()) + " flows");
+  }
+  const char* saved = r.span(sim.flow_count() * kFlowRowBytes, "verify.rows");
   for (std::size_t i = 0; i < sim.flow_count(); ++i) {
-    const netsim::Flow& f = sim.flow(FlowId{i});
-    const std::string p = "flow[" + std::to_string(i) + "].";
-    img.add(p + "state", static_cast<std::uint64_t>(f.state));
-    img.add(p + "entered", f.entered ? 1 : 0);
-    img.addf(p + "remaining", f.remaining);
-    img.addf(p + "rate", f.rate);
-    img.addf(p + "start_time", f.start_time);
-    img.addf(p + "finish_time", f.finish_time);
-    img.addf(p + "weight", f.weight);
-    img.add(p + "has_rate_cap", f.rate_cap.has_value() ? 1 : 0);
-    img.addf(p + "rate_cap", f.rate_cap.value_or(-1.0));
-    img.add(p + "route",
-            f.route.valid() ? f.route.value() : ~std::uint64_t{0});
-    std::uint64_t pdigest = kFnvOffset;
-    for (const LinkId link : f.path) {
-      const std::uint64_t word = link.value();
-      for (int b = 0; b < 8; ++b) {
-        pdigest ^= (word >> (8 * b)) & 0xff;
-        pdigest *= kFnvPrime;
+    const FlowRow fresh = flow_row(sim.flow(FlowId{i}));
+    for (std::size_t c = 0; c < fresh.size(); ++c, saved += 8) {
+      const std::uint64_t bits = load_le64(saved);
+      if (bits != fresh[c]) {
+        throw_mismatch("verify",
+                       "flow[" + std::to_string(i) + "]." + kFlowColumns[c],
+                       bits, fresh[c]);
       }
     }
-    img.add(p + "path_len", f.path.size());
-    img.add(p + "path_digest", pdigest);
   }
 }
 
@@ -543,23 +642,7 @@ void verify_image(Reader& r, const ImageBuilder& fresh, const char* what) {
                           "' in the image but '" + fresh_name +
                           "' in the restored state");
     }
-    if (bits != fresh_bits) {
-      throw SnapshotError(
-          "snapshot " + std::string(what) + ": '" + name +
-          "' mismatch: saved 0x" +
-          [](std::uint64_t v) {
-            std::ostringstream os;
-            os << std::hex << v;
-            return os.str();
-          }(bits) +
-          " restored 0x" +
-          [](std::uint64_t v) {
-            std::ostringstream os;
-            os << std::hex << v;
-            return os.str();
-          }(fresh_bits) +
-          " -- restored run diverged from the checkpointed one");
-    }
+    if (bits != fresh_bits) throw_mismatch(what, name, bits, fresh_bits);
   }
 }
 
@@ -659,12 +742,6 @@ class JournalReplayGenerator final : public ArrivalGenerator {
   std::size_t index_ = 0;
 };
 
-void put_section(Writer& w, std::uint32_t tag, const std::string& payload) {
-  w.u32(tag);
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -672,12 +749,12 @@ void put_section(Writer& w, std::uint32_t tag, const std::string& payload) {
 // ---------------------------------------------------------------------------
 
 std::string save_snapshot(const ServiceLoop& loop) {
-  Writer out;
-  out.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
-  out.u32(kSnapshotVersion);
+  Writer w;
+  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w.u32(kSnapshotVersion);
 
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kConfigTag);
     const ServiceConfig& c = loop.config();
     w.u32(static_cast<std::uint32_t>(c.scheduler));
     w.u32(static_cast<std::uint32_t>(c.fabric));
@@ -710,60 +787,73 @@ std::string save_snapshot(const ServiceLoop& loop) {
       w.f64(o.threshold);
       w.f64(o.budget);
     }
-    put_section(out, kConfigTag, w.take());
+    w.end_section(section);
   }
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kArrivalsTag);
     w.u64(loop.journal().size());
     for (const JournalEntry& e : loop.journal()) {
       w.u8(static_cast<std::uint8_t>(e.outcome));
       put_arrival(w, e.arrival);
     }
-    put_section(out, kArrivalsTag, w.take());
+    w.end_section(section);
   }
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kGeneratorTag);
     put_generator(w, loop);
-    put_section(out, kGeneratorTag, w.take());
+    w.end_section(section);
   }
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kServiceTag);
     w.u64(loop.steps_executed());
     w.u64(loop.tick_index());
     w.u64(loop.journal().size());
     w.f64(loop.last_arrival_at());
     w.f64(loop.sim().now());
-    put_section(out, kServiceTag, w.take());
+    w.end_section(section);
   }
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kVerifyTag);
     ImageBuilder img;
-    build_verify_image(loop, img);
+    build_verify_scalars(loop, img);
     put_image(w, img);
-    put_section(out, kVerifyTag, w.take());
+    put_flow_table(w, loop.sim());
+    w.end_section(section);
   }
   {
-    Writer w;
+    const std::size_t section = w.begin_section(kTelemetryTag);
     ImageBuilder img;
     build_telemetry_image(loop, img);
     put_image(w, img);
     put_flight_ring(w, loop.flight());
-    put_section(out, kTelemetryTag, w.take());
+    w.end_section(section);
   }
 
-  out.u32(kEndTag);
-  const std::uint64_t checksum =
-      fnv1a(out.buffer().data(), out.buffer().size());
-  out.u64(checksum);
-  return out.take();
+  w.u32(kEndTag);
+  const std::uint64_t checksum = fnv1a(w.buffer().data(), w.buffer().size());
+  w.u64(checksum);
+  return w.take();
 }
 
+// The temp file is a sibling of the target, so the rename stays on one
+// filesystem, where POSIX rename replaces the target atomically.
 void save_snapshot_file(const ServiceLoop& loop, const std::string& path) {
   const std::string bytes = save_snapshot(loop);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw SnapshotError("snapshot: cannot open " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw SnapshotError("snapshot: short write to " + path);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw SnapshotError("snapshot: cannot open " + tmp);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw SnapshotError("snapshot: short write to " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw SnapshotError("snapshot: cannot rename " + tmp + " -> " + path);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -796,16 +886,15 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
     const std::uint64_t recorded = tail.u64("checksum");
     const std::uint64_t actual = fnv1a(bytes.data(), bytes.size() - 8);
     if (recorded != actual) {
-      std::ostringstream os;
-      os << "snapshot: checksum mismatch (recorded 0x" << std::hex << recorded
-         << ", computed 0x" << actual << ") -- corrupt or truncated";
-      throw SnapshotError(os.str());
+      throw SnapshotError("snapshot: checksum mismatch (recorded 0x" +
+                          hex(recorded) + ", computed 0x" + hex(actual) +
+                          ") -- corrupt or truncated");
     }
   }
 
   Reader r(bytes.data() + kHeader, bytes.size() - kHeader - 8, "body");
-  auto open_section = [&r](std::uint32_t want,
-                           const char* name) -> std::string {
+  // Each section is parsed through a bounds-checked view of its payload.
+  auto open_section = [&r](std::uint32_t want, const char* name) -> Reader {
     const std::uint32_t tag = r.u32("section tag");
     if (tag != want) {
       throw SnapshotError("snapshot: expected section " + std::string(name) +
@@ -819,19 +908,15 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
                           " bytes but only " + std::to_string(r.remaining()) +
                           " remain");
     }
-    std::string payload;
-    for (std::uint64_t i = 0; i < len; ++i) {
-      payload.push_back(static_cast<char>(r.u8("section payload")));
-    }
-    return payload;
+    return Reader(r.span(static_cast<std::size_t>(len), "section payload"),
+                  static_cast<std::size_t>(len), name);
   };
 
   // kConfig
   ServiceConfig config;
   std::optional<faultsim::FaultPlan> plan;
   {
-    const std::string payload = open_section(kConfigTag, "config");
-    Reader c(payload.data(), payload.size(), "config");
+    Reader c = open_section(kConfigTag, "config");
     const std::uint32_t sched = c.u32("config.scheduler");
     if (sched >
         static_cast<std::uint32_t>(cluster::SchedulerKind::kCoordinator)) {
@@ -922,8 +1007,7 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   // kArrivals
   std::vector<JournalEntry> journal;
   {
-    const std::string payload = open_section(kArrivalsTag, "arrivals");
-    Reader a(payload.data(), payload.size(), "arrivals");
+    Reader a = open_section(kArrivalsTag, "arrivals");
     const std::uint64_t count = a.u64("journal.count");
     for (std::uint64_t i = 0; i < count; ++i) {
       JournalEntry e;
@@ -943,16 +1027,14 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   // kGenerator
   GeneratorState generator;
   {
-    const std::string payload = open_section(kGeneratorTag, "generator");
-    Reader g(payload.data(), payload.size(), "generator");
+    Reader g = open_section(kGeneratorTag, "generator");
     generator = get_generator(g);
   }
 
   // kService
   std::uint64_t target_steps = 0;
   {
-    const std::string payload = open_section(kServiceTag, "service");
-    Reader s(payload.data(), payload.size(), "service");
+    Reader s = open_section(kServiceTag, "service");
     target_steps = s.u64("service.steps");
     (void)s.u64("service.tick_index");
     const std::uint64_t journal_len = s.u64("service.journal_len");
@@ -996,11 +1078,11 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
 
   // kVerify: bitwise comparison of the replayed state against the image.
   {
-    const std::string payload = open_section(kVerifyTag, "verify");
-    Reader v(payload.data(), payload.size(), "verify");
+    Reader v = open_section(kVerifyTag, "verify");
     ImageBuilder fresh;
-    build_verify_image(*loop, fresh);
+    build_verify_scalars(*loop, fresh);
     verify_image(v, fresh, "verify");
+    verify_flow_table(v, loop->sim());
     v.expect_exhausted("verify image");
   }
 
@@ -1009,8 +1091,7 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
   // what the checkpointed run held, then restore the flight ring verbatim
   // (replay cannot reproduce earlier saves' kSnapshot markers).
   {
-    const std::string payload = open_section(kTelemetryTag, "telemetry");
-    Reader t(payload.data(), payload.size(), "telemetry");
+    Reader t = open_section(kTelemetryTag, "telemetry");
     ImageBuilder fresh;
     build_telemetry_image(*loop, fresh);
     verify_image(t, fresh, "telemetry");
@@ -1034,11 +1115,16 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
 
 std::unique_ptr<ServiceLoop> restore_snapshot_file(
     const std::string& path, const RestoreOptions& options) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw SnapshotError("snapshot: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return restore_snapshot(buf.str(), options);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw SnapshotError("snapshot: cannot size " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), size)) {
+    throw SnapshotError("snapshot: short read from " + path);
+  }
+  return restore_snapshot(bytes, options);
 }
 
 }  // namespace echelon::service

@@ -26,7 +26,10 @@
 //     3 kGenerator  generator kind + progress (Poisson RNG words / trace
 //                   file cursor) + the fetched-but-unconsumed arrival
 //     4 kService    step counter, tick index, journal length, clocks
-//     5 kVerify     named scalar image + per-flow records (see .cpp)
+//     5 kVerify     named scalar image ({name, u64 bits} pairs), then the
+//                   flow table (v3): column count u32, the 12 column names,
+//                   row count u64, one row of 12 little-endian u64 words
+//                   per flow ever submitted
 //     6 kTelemetry  (v2) named scalar image over the telemetry state:
 //                   flush counters, SLO window digest, flight-ring digest,
 //                   Prometheus exposition digest. Telemetry *state* is
@@ -57,7 +60,8 @@ namespace echelon::service {
 inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
                                            '1'};
 // v2: TelemetryConfig in kConfig + the kTelemetry verification section.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// v3: kVerify's per-flow records become one columnar flow table.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.
@@ -68,6 +72,8 @@ struct SnapshotError : std::runtime_error {
 // Serializes the loop's full state. Call only at a step boundary (between
 // ServiceLoop::step() calls); mid-event state is not capturable.
 [[nodiscard]] std::string save_snapshot(const ServiceLoop& loop);
+// Writes `<path>.tmp`, then renames it over `path`: a crash or failed write
+// never leaves `path` holding a partial snapshot.
 void save_snapshot_file(const ServiceLoop& loop, const std::string& path);
 
 // Observability to attach to the restored loop *after* replay (replay runs

@@ -15,7 +15,10 @@
 //   3. Corrupt-snapshot negative fuzz: truncations at every short length and
 //      seeded byte flips at every offset class must throw SnapshotError with
 //      a diagnostic -- a snapshot never loads garbage. Re-checksummed
-//      header/version/tag/length/enum mutations fail their specific checks.
+//      header/version/tag/length/enum mutations fail their specific checks,
+//      a flipped verification cell is named (flow[<i>].<column> or the
+//      scalar), the kVerify payload size is pinned to the columnar layout,
+//      and a failed file save keeps the previous checkpoint.
 //   4. Arrival generators: Poisson draw-compatibility with generate_trace,
 //      checkpoint determinism, trace-file write -> read -> write byte
 //      identity, burst-knob invariants, empty/zero-rate edges.
@@ -31,9 +34,12 @@
 #include "equivalence_harness.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -423,6 +429,7 @@ class CorruptSnapshotTest : public ::testing::Test {
     auto loop = make_loop(spec, trace);
     for (int k = 0; k < 6; ++k) ASSERT_TRUE(loop->step());
     bytes_ = save_snapshot(*loop);
+    flow_count_ = loop->sim().flow_count();
     ASSERT_GT(bytes_.size(), 64u);
     // Sanity: the pristine snapshot restores.
     auto restored = restore_snapshot(bytes_);
@@ -457,7 +464,81 @@ class CorruptSnapshotTest : public ::testing::Test {
     // and fails the test.
   }
 
+  static std::uint64_t le(const std::string& b, std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(b[at + static_cast<std::size_t>(i)]))
+           << (8 * i);
+    }
+    return v;
+  }
+
+  static std::string hex(std::uint64_t v) {
+    std::ostringstream os;
+    os << std::hex << v;
+    return os.str();
+  }
+
+  // Byte offsets inside the kVerify section (tag 5), walked from the wire
+  // format documented in DESIGN.md §13.
+  struct VerifyLayout {
+    std::uint64_t payload_len = 0;
+    std::size_t scalar_bytes = 0;  // field count + {name, bits} pairs
+    std::size_t header_bytes = 0;  // column count + names + row count
+    std::map<std::string, std::size_t> scalar_at;  // name -> bits offset
+    std::vector<std::string> columns;
+    std::uint64_t rows = 0;
+    std::size_t rows_at = 0;  // offset of the first row's first word
+  };
+
+  VerifyLayout verify_layout() const {
+    VerifyLayout out;
+    std::size_t pos = 12;  // magic + version
+    while (le(bytes_, pos, 4) != 5) {
+      pos += 12 + static_cast<std::size_t>(le(bytes_, pos + 4, 8));
+    }
+    out.payload_len = le(bytes_, pos + 4, 8);
+    const std::size_t payload = pos + 12;
+    pos = payload;
+    const std::uint64_t fields = le(bytes_, pos, 8);
+    pos += 8;
+    for (std::uint64_t i = 0; i < fields; ++i) {
+      const auto n = static_cast<std::size_t>(le(bytes_, pos, 8));
+      out.scalar_at[bytes_.substr(pos + 8, n)] = pos + 8 + n;
+      pos += 8 + n + 8;
+    }
+    out.scalar_bytes = pos - payload;
+    const std::uint64_t columns = le(bytes_, pos, 4);
+    pos += 4;
+    for (std::uint64_t c = 0; c < columns; ++c) {
+      const auto n = static_cast<std::size_t>(le(bytes_, pos, 8));
+      out.columns.push_back(bytes_.substr(pos + 8, n));
+      pos += 8 + n;
+    }
+    out.rows = le(bytes_, pos, 8);
+    pos += 8;
+    out.header_bytes = pos - payload - out.scalar_bytes;
+    out.rows_at = pos;
+    return out;
+  }
+
+  // Flips bit 0 of the u64 at `at`, restamps, and returns the restore error
+  // after checking it carries both bit patterns.
+  std::string flip_word(std::size_t at) const {
+    const std::uint64_t word = le(bytes_, at, 8);
+    std::string m = bytes_;
+    m[at] = static_cast<char>(static_cast<unsigned char>(m[at]) ^ 0x01);
+    const std::string what = expect_snapshot_error(restamp(m));
+    EXPECT_NE(what.find("saved 0x" + hex(word ^ 1)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("restored 0x" + hex(word)), std::string::npos)
+        << what;
+    return what;
+  }
+
   std::string bytes_;
+  std::size_t flow_count_ = 0;
 };
 
 TEST_F(CorruptSnapshotTest, EveryShortTruncationThrows) {
@@ -525,6 +606,83 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
         static_cast<unsigned char>(m[m.size() - 1]) ^ 0x01);
     EXPECT_NE(expect_snapshot_error(m).find("checksum"), std::string::npos);
   }
+}
+
+TEST_F(CorruptSnapshotTest, PreviousVersionIsRefused) {
+  std::string m = bytes_;
+  m[8] = 2;  // v2: per-flow named fields, no converter
+  EXPECT_NE(expect_snapshot_error(restamp(m)).find("version"),
+            std::string::npos);
+}
+
+// A flipped bit in a flow row is reported as flow[<i>].<column>.
+TEST_F(CorruptSnapshotTest, FlowCellMismatchNamesRowAndColumn) {
+  const VerifyLayout v = verify_layout();
+  ASSERT_GT(v.rows, 2u);
+  const std::size_t cols = v.columns.size();
+  const std::size_t row = static_cast<std::size_t>(v.rows) / 2;
+  for (const std::size_t c : {std::size_t{0}, std::size_t{5}, cols - 1}) {
+    const std::string what = flip_word(v.rows_at + (row * cols + c) * 8);
+    const std::string field =
+        "'flow[" + std::to_string(row) + "]." + v.columns[c] + "'";
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+// A flipped bit in a named scalar is reported under that name.
+TEST_F(CorruptSnapshotTest, ScalarMismatchNamesTheField) {
+  const VerifyLayout v = verify_layout();
+  for (const char* name : {"sim.now", "alloc.passes", "service.launched"}) {
+    ASSERT_EQ(v.scalar_at.count(name), 1u) << name;
+    const std::string what = flip_word(v.scalar_at.at(name));
+    EXPECT_NE(what.find("'" + std::string(name) + "'"), std::string::npos)
+        << what;
+  }
+}
+
+// The kVerify payload is the scalar image, one 12-name column header, and
+// exactly 8 bytes per cell: per-flow field names cannot creep back in.
+TEST_F(CorruptSnapshotTest, VerifySectionIsColumnar) {
+  const VerifyLayout v = verify_layout();
+  ASSERT_GT(flow_count_, 0u);
+  ASSERT_EQ(v.columns.size(), 12u);
+  EXPECT_EQ(v.rows, flow_count_);
+  EXPECT_LT(v.header_bytes, 256u);
+  EXPECT_EQ(v.payload_len,
+            v.scalar_bytes + v.header_bytes + 8 * 12 * flow_count_);
+}
+
+// save_snapshot_file writes a temp file and renames it over the target: a
+// write that fails (here: the temp path cannot be opened) throws and leaves
+// the previous checkpoint intact and restorable.
+TEST(SnapshotFile, FailedSaveKeepsThePreviousCheckpoint) {
+  const ServiceSpec spec;
+  auto loop = make_loop(spec, small_arrivals(53));
+  for (int k = 0; k < 4; ++k) ASSERT_TRUE(loop->step());
+  const std::string path = temp_path("atomic_snapshot.bin");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  service::save_snapshot_file(*loop, path);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  const std::string first = save_snapshot(*loop);
+  EXPECT_EQ(std::filesystem::file_size(path), first.size());
+
+  ASSERT_TRUE(loop->step());
+  std::filesystem::create_directory(tmp);  // blocks the temp file
+  EXPECT_THROW(service::save_snapshot_file(*loop, path), SnapshotError);
+  std::filesystem::remove_all(tmp);
+
+  auto from_file = service::restore_snapshot_file(path);
+  auto from_bytes = restore_snapshot(first);
+  EXPECT_EQ(from_file->steps_executed(), from_bytes->steps_executed());
+  from_file->drain();
+  from_bytes->drain();
+  expect_same_service_result(from_bytes->result(), from_file->result());
+
+  service::save_snapshot_file(*loop, path);  // the next save lands
+  EXPECT_EQ(service::restore_snapshot_file(path)->steps_executed(),
+            loop->steps_executed());
+  std::filesystem::remove(path);
 }
 
 TEST(CorruptSnapshotFile, MissingFileThrows) {
