@@ -2,7 +2,7 @@
 //
 // All names carry the `tel:` argument tag so tools/check_bench_regression.py
 // excludes them from the machine-speed calibration median (like `svc:` /
-// `churn:` / `routes:`) while still gating them against the baseline. The
+// `routes:`) while still gating them against the baseline. The
 // checker additionally reads the `telemetry_overhead_ratio` counter exported
 // by BM_TelemetryOverheadPair and fails if it exceeds the overhead
 // tolerance -- the "telemetry costs <= 2%" acceptance gate, measured on one

@@ -82,22 +82,6 @@ struct ExperimentConfig {
   // (tests/test_route_class_equivalence.cpp pins this differentially).
   netsim::FillMode fill_mode = netsim::FillMode::kClass;
 
-  // Control-plane recomputation strategy (DESIGN.md §12). kIncremental is
-  // the production fast path (dirty-job-scoped scheduler passes driven by
-  // the simulator's mark forwarding); kFullRecompute recomputes every
-  // decision every pass and is the reference mode of
-  // tests/test_churn_equivalence.cpp (results are bit-identical).
-  netsim::SchedMode sched_mode = netsim::SchedMode::kIncremental;
-
-  // Non-zero: drive seeded deterministic weight churn through the Flow
-  // notification setters while the run executes (one active flow perturbed
-  // per millisecond tick). Exercises the external-churn dirty path
-  // (pre-control control_dirty scan -> job mark) outside the simulator's
-  // own mark sites; the perturbation is overwritten by the next scheduler
-  // pass, so it stresses the control plane without changing placements.
-  // Identical across SchedMode by construction (EXPERIMENTS.md EXT-R).
-  std::uint64_t churn_seed = 0;
-
   // Optional deterministic fault script, replayed by a FaultInjector during
   // the run (DESIGN.md §8). Must outlive run_experiment; read-only, so one
   // plan can be shared across sweep threads. nullptr = fault-free. A

@@ -22,22 +22,10 @@
 // per-pass allocations after warm-up); per-link load and residual capacity
 // live in dense LinkId-indexed scratch (see DESIGN.md, "Hot-path data
 // layout").
-//
-// Incremental mode (DESIGN.md §12): coflows only couple through shared
-// links, so a same-era pass partitions them into link-disjoint components
-// (per-pass union-find over member paths) and re-ranks/re-fills exactly the
-// components containing a dirty job, a coflow that lost a member, or a link
-// released by a departure. Standalone gammas of clean co-component coflows
-// come from an era-stamped cache (remaining bytes and capacities are
-// bitwise unchanged within an era). SEBF's (gamma, key) comparator is a
-// total order, so sorting the scheduled subset reproduces the full sort's
-// relative order; untouched components keep their previous (identical)
-// caps, and a pass with no marks at all is an exact no-op.
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/scratch.hpp"
@@ -59,10 +47,6 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
 
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  void on_flow_departure(netsim::Simulator& sim,
-                         const netsim::Flow& flow) override;
-  void mark_job_dirty(JobId job) override { dirty_.mark(job); }
-  void mark_all_jobs_dirty() override { dirty_.mark_all(); }
 
   [[nodiscard]] std::string name() const override { return "coflow-madd"; }
 
@@ -73,13 +57,11 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
     double gamma_standalone = 0.0;
-    bool pass_dirty = false;  // per-pass: membership/jobs changed
   };
 
   [[nodiscard]] double standalone_gamma(const topology::Topology& topo,
                                         const Grp& g);
   [[nodiscard]] double residual_gamma(const Grp& g);
-  [[nodiscard]] std::uint32_t uf_find(std::uint32_t x) noexcept;
 
   CoflowMaddConfig config_;
 
@@ -90,27 +72,6 @@ class CoflowMaddScheduler final : public netsim::NetworkScheduler {
   std::vector<std::uint32_t> order_;    // SEBF rank order over groups_
   topology::LinkScratch<double> load_;
   detail::ResidualCaps caps_;
-
-  // --- incremental control plane (DESIGN.md §12) -----------------------------
-  netsim::DirtyJobSet dirty_;
-  std::vector<LinkId> released_links_;
-  // Coflows that lost a member since the last pass: the survivors' gamma
-  // changed even when none of *their* jobs carries a mark (multi-job
-  // coflows). Departure hooks append; passes consume.
-  std::vector<std::uint64_t> departed_keys_;
-  // key -> standalone gamma, valid while `era` matches era_seq_. Entries are
-  // erased on member departure; steady-state same-era passes only look up.
-  struct GammaEntry {
-    double gamma = 0.0;
-    std::uint64_t era = 0;
-  };
-  std::unordered_map<std::uint64_t, GammaEntry> gamma_cache_;
-  std::uint64_t era_seq_ = 0;
-  std::uint64_t last_acc_gen_ = ~0ull;
-  std::uint64_t last_cap_epoch_ = ~0ull;
-  topology::LinkScratch<std::uint32_t> owner_scratch_;
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint8_t> root_dirty_;
 };
 
 }  // namespace echelon::ef

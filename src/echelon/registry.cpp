@@ -7,24 +7,13 @@ EchelonFlowId Registry::create(JobId job, Arrangement arrangement,
   const EchelonFlowId id{echelonflows_.size()};
   echelonflows_.push_back(std::make_unique<EchelonFlow>(
       id, job, std::move(arrangement), std::move(label), weight));
-  // Late registration can turn an already-cached member's resolve() from
-  // PENDING into a real deadline without that member's job being re-marked.
-  if (sim_ != nullptr) sim_->mark_all_jobs_dirty();
   return id;
 }
 
 void Registry::note_arrival(const netsim::Flow& flow, SimTime now) {
   const EchelonFlowId gid = flow.spec.group;
   if (!contains(gid)) return;
-  EchelonFlow& ef = get(gid);
-  const bool had_reference = ef.reference_known();
-  ef.note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
-  // The first started member fixes r, turning every sibling's ideal finish
-  // d_j = r + offset_j from unknown to known -- siblings may belong to
-  // other jobs (or already sit in a scheduler cache), so escalate.
-  if (!had_reference && ef.reference_known() && sim_ != nullptr) {
-    sim_->mark_all_jobs_dirty();
-  }
+  get(gid).note_start(flow.spec.index_in_group, flow.id, flow.spec.size, now);
 }
 
 void Registry::note_departure(const netsim::Flow& flow, SimTime now) {
@@ -34,7 +23,6 @@ void Registry::note_departure(const netsim::Flow& flow, SimTime now) {
 }
 
 void Registry::attach(netsim::Simulator& sim) {
-  sim_ = &sim;
   sim.add_flow_arrival_listener(
       [this](netsim::Simulator& s, const netsim::Flow& f) {
         note_arrival(f, s.now());

@@ -66,11 +66,6 @@ class Registry {
 
  private:
   std::vector<std::unique_ptr<EchelonFlow>> echelonflows_;
-  // Set by attach(). Registry mutations that can flip a scheduler's
-  // resolve() outcome for already-cached flows (a new EchelonFlow binding
-  // pending members, a reference time fixed by a first-started member)
-  // escalate to a full pass -- they are not attributable to one job's mark.
-  netsim::Simulator* sim_ = nullptr;
 };
 
 }  // namespace echelon::ef

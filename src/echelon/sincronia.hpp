@@ -10,13 +10,6 @@
 //
 // Included as a second clairvoyant Coflow baseline beside Varys-style
 // SEBF+MADD: it optimizes average CCT rather than per-coflow pacing.
-//
-// Incremental mode (DESIGN.md §12): skip-only. BSSI's bottleneck argmax
-// breaks ties on unordered_map iteration order, so its order does not
-// decompose into link-disjoint components we could recompute in isolation
-// (removing a coflow can flip argmax ties fabric-wide). What *is* exact is
-// the no-op skip: within one era with no dirty jobs, a full pass would
-// rewrite bitwise-identical values through the compare-and-set setters.
 
 #pragma once
 
@@ -30,8 +23,6 @@ class SincroniaScheduler final : public netsim::NetworkScheduler {
  public:
   void control(netsim::Simulator& sim,
                std::span<netsim::Flow*> active) override;
-  void mark_job_dirty(JobId job) override { dirty_.mark(job); }
-  void mark_all_jobs_dirty() override { dirty_.mark_all(); }
 
   [[nodiscard]] std::string name() const override { return "sincronia"; }
 
@@ -42,10 +33,6 @@ class SincroniaScheduler final : public netsim::NetworkScheduler {
   // lists would silently change schedules -- deferred until goldens bless a
   // deterministic tie-break.
   detail::ResidualCaps caps_;
-
-  netsim::DirtyJobSet dirty_;
-  std::uint64_t last_acc_gen_ = ~0ull;
-  std::uint64_t last_cap_epoch_ = ~0ull;
 };
 
 }  // namespace echelon::ef

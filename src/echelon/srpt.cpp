@@ -1,100 +1,23 @@
 #include "echelon/srpt.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace echelon::ef {
-
-void SrptScheduler::on_flow_departure(netsim::Simulator&,
-                                      const netsim::Flow& flow) {
-  // Freed capacity: the component owning these links at the next scoped
-  // pass water-fills differently and must be re-filled.
-  for (LinkId lid : flow.path) released_links_.push_back(lid);
-}
-
-std::uint32_t SrptScheduler::uf_find(std::uint32_t x) noexcept {
-  while (uf_parent_[x] != x) {  // path halving
-    uf_parent_[x] = uf_parent_[uf_parent_[x]];
-    x = uf_parent_[x];
-  }
-  return x;
-}
 
 void SrptScheduler::control(netsim::Simulator& sim,
                             std::span<netsim::Flow*> active) {
   ++stats_.passes;
-  const topology::Topology& topo = sim.topology();
-  const std::uint64_t acc = sim.accounting_generation();
-  const std::uint64_t cap = topo.capacity_epoch();
-  const bool same_era = acc == last_acc_gen_ && cap == last_cap_epoch_;
-  last_acc_gen_ = acc;
-  last_cap_epoch_ = cap;
-  const bool incremental = sched_mode_ == netsim::SchedMode::kIncremental;
-  if (incremental && same_era && dirty_.empty() && released_links_.empty()) {
-    // Exact skip: nothing moved, a full pass would rewrite identical values.
-    ++stats_.pass_skips;
-    return;
-  }
-  const bool scoped = incremental && same_era && !dirty_.all();
-
-  routed_.clear();
+  order_.clear();
   for (netsim::Flow* f : active) {
     if (f->path.empty()) {
       f->set_weight(1.0);
       f->clear_rate_cap();
       continue;
     }
-    routed_.push_back(f);
+    order_.push_back(f);
   }
-
-  if (scoped) {
-    dirty_.prepare();
-    // Link-disjoint flow components: flow rates only couple through shared
-    // links, so only the components containing a dirty job -- or owning a
-    // link released by a departure -- can change.
-    const std::uint32_t n = static_cast<std::uint32_t>(routed_.size());
-    owner_scratch_.begin_pass(topo);
-    if (uf_parent_.size() < n) uf_parent_.resize(n);
-    if (root_dirty_.size() < n) root_dirty_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) uf_parent_[i] = i;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (LinkId lid : routed_[i]->path) {
-        const std::uint32_t owner = owner_scratch_.touch(lid, i);
-        if (owner != i) {
-          const std::uint32_t ra = uf_find(i);
-          const std::uint32_t rb = uf_find(owner);
-          if (ra != rb) uf_parent_[ra] = rb;
-        }
-      }
-    }
-    std::fill(root_dirty_.begin(), root_dirty_.begin() + n, std::uint8_t{0});
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (dirty_.contains(routed_[i]->spec.job.value())) {
-        root_dirty_[uf_find(i)] = 1;
-      }
-    }
-    for (LinkId lid : released_links_) {
-      if (owner_scratch_.active(lid)) {
-        root_dirty_[uf_find(owner_scratch_.at(lid))] = 1;
-      }
-    }
-    order_.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (root_dirty_[uf_find(i)] != 0) order_.push_back(routed_[i]);
-    }
-    stats_.groups_seen += n;
-    stats_.groups_scheduled += order_.size();
-    ++stats_.scoped_passes;
-  } else {
-    order_.assign(routed_.begin(), routed_.end());
-    ++stats_.full_passes;
-  }
-  dirty_.clear();
-  released_links_.clear();
-
   // (remaining, id) is a total order, so plain std::sort suffices (and,
-  // unlike stable_sort, allocates no merge buffer) -- and sorting the
-  // scoped subset reproduces the full sort's relative order.
+  // unlike stable_sort, allocates no merge buffer).
   std::sort(order_.begin(), order_.end(),
             [](const netsim::Flow* a, const netsim::Flow* b) {
               if (a->remaining != b->remaining) {
@@ -103,7 +26,7 @@ void SrptScheduler::control(netsim::Simulator& sim,
               return a->id < b->id;  // deterministic tie-break
             });
 
-  caps_.reset(&topo);
+  caps_.reset(&sim.topology());
   for (netsim::Flow* f : order_) {
     const double rate = caps_.path_residual(*f);
     f->set_weight(1.0);

@@ -8,32 +8,15 @@
 //   * EchelonMaddScheduler (echelon/)-- the paper's tardiness-minimizing
 //                                       adaptation (Property 4)
 //
-// --- Incremental control plane (DESIGN.md §12) ------------------------------
-// Mirroring the RateAllocator's AllocMode split, every scheduler runs in one
-// of two modes:
-//   * kFullRecompute -- the reference mode: each control() pass recomputes
-//     every decision from the active span alone. Always correct, including
-//     for hook-less callers that drive control() directly.
-//   * kIncremental   -- dirty-job-scoped: the Simulator forwards per-job
-//     dirty marks (arrivals, completions, fault outcomes, external
-//     weight/cap churn observed through the Flow notification setters) via
-//     mark_job_dirty / mark_all_jobs_dirty before each pass, and the
-//     scheduler recomputes only the jobs affected -- with exact cross-job
-//     invalidation where decisions couple through shared links or global
-//     orderings. Requires the arrival/departure hooks and dirty marks to be
-//     delivered (the Simulator always does); hook-less callers must stay on
-//     kFullRecompute.
-// Both modes produce bit-identical decisions; the equivalence suites
-// (tests/test_churn_equivalence.cpp) enforce this across the full
-// sched x fabric x chaos x threads matrix.
+// Every control() pass recomputes every decision from the active span, as
+// the paper's heuristic does at each arrival and departure (DESIGN.md §12
+// records why there is no second, incremental pass).
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "netsim/flow.hpp"
 
@@ -41,60 +24,17 @@ namespace echelon::netsim {
 
 class Simulator;
 
-enum class SchedMode {
-  kFullRecompute,  // reference: recompute everything every pass
-  kIncremental,    // dirty-job-scoped recomputation (production)
-};
-
-// Control-plane cache telemetry, kept by the NetworkScheduler base and
-// surfaced through run metrics (sched.* counters). Never feeds back into
-// decisions, so the counters may differ between modes while results stay
-// bit-identical.
+// Control-plane telemetry, kept by the NetworkScheduler base and surfaced
+// through run metrics as the sched.passes counter. Never feeds back into
+// decisions.
 struct SchedStats {
-  std::uint64_t passes = 0;            // control() invocations
-  std::uint64_t full_passes = 0;       // full recomputations (reference mode
-                                       // or incremental all-dirty fallback)
-  std::uint64_t scoped_passes = 0;     // dirty-job-scoped incremental passes
-  std::uint64_t pass_skips = 0;        // exact no-op skips (nothing dirty)
-  std::uint64_t groups_seen = 0;       // group visits across scoped passes
-  std::uint64_t groups_scheduled = 0;  // groups recomputed in scoped passes
-  std::uint64_t groups_reused = 0;     // era-valid cached rank keys reused
-};
-
-// Small sorted-unique accumulator for per-job dirty marks, shared by the
-// incremental schedulers. The Simulator caps its forwarded set at 64 distinct
-// jobs (escalating to mark_all_jobs_dirty beyond), so membership tests are a
-// binary search over a handful of entries. Allocation-free after warm-up
-// (the backing vector high-waters).
-class DirtyJobSet {
- public:
-  void mark(JobId job) {
-    if (all_) return;
-    const std::uint64_t v = job.value();
-    if (std::find(jobs_.begin(), jobs_.end(), v) == jobs_.end()) {
-      jobs_.push_back(v);
-    }
-  }
-  void mark_all() noexcept {
-    all_ = true;
-    jobs_.clear();
-  }
-  // Sorts the accumulated marks so contains() can binary-search.
-  void prepare() { std::sort(jobs_.begin(), jobs_.end()); }
-  [[nodiscard]] bool contains(std::uint64_t job_value) const {
-    return std::binary_search(jobs_.begin(), jobs_.end(), job_value);
-  }
-  [[nodiscard]] bool all() const noexcept { return all_; }
-  [[nodiscard]] bool empty() const noexcept { return !all_ && jobs_.empty(); }
-  [[nodiscard]] std::size_t count() const noexcept { return jobs_.size(); }
-  void clear() noexcept {
-    all_ = false;
-    jobs_.clear();
-  }
-
- private:
-  std::vector<std::uint64_t> jobs_;  // unsorted until prepare()
-  bool all_ = false;
+  std::uint64_t passes = 0;  // control() invocations
+  // Always 0: the former incremental tiers' counters, kept only because
+  // perfbench still reads them (DESIGN.md §12).
+  std::uint64_t scoped_passes = 0;
+  std::uint64_t pass_skips = 0;
+  std::uint64_t groups_seen = 0;
+  std::uint64_t groups_reused = 0;
 };
 
 class NetworkScheduler {
@@ -119,11 +59,8 @@ class NetworkScheduler {
   // control pass.
   virtual void on_topology_change(Simulator& sim) { (void)sim; }
 
-  // Dirty-mark hooks (DESIGN.md §12). The Simulator batches per-job marks
-  // between control passes and forwards them right before control(); they
-  // are *hints* that bound which jobs may need recomputation in
-  // kIncremental mode. Defaults are no-ops so policies that recompute from
-  // scratch every pass (and external callers) stay correct without changes.
+  // Never called. The former per-job dirty-mark hooks stay declared only
+  // because perfbench's TimedScheduler still overrides them (DESIGN.md §12).
   virtual void mark_job_dirty(JobId job) { (void)job; }
   virtual void mark_all_jobs_dirty() {}
 
@@ -134,58 +71,26 @@ class NetworkScheduler {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // Mode selection. Defaults to kFullRecompute so raw schedulers driven
-  // without hooks keep their historical behavior; ExperimentConfig flips
-  // production runs to kIncremental.
-  void set_sched_mode(SchedMode mode) {
-    sched_mode_ = mode;
-    on_sched_mode(mode);
-  }
-  [[nodiscard]] SchedMode sched_mode() const noexcept { return sched_mode_; }
-
   [[nodiscard]] const SchedStats& sched_stats() const noexcept {
     return stats_;
   }
 
  protected:
-  // Mode-change hook for decorators (the Coordinator forwards the mode to
-  // its inner heuristic; the PriorityQueueEnforcer pins its inner policy to
-  // kFullRecompute regardless).
-  virtual void on_sched_mode(SchedMode mode) { (void)mode; }
-
-  SchedMode sched_mode_ = SchedMode::kFullRecompute;
   SchedStats stats_;
 };
 
 // Plain weighted max-min fairness: every flow uncapped with weight 1. This is
 // the "naive bandwidth fair sharing" baseline of Fig. 2.
-//
-// Incremental mode: fair sharing writes the same constants every pass, so a
-// pass with no dirty marks is an exact no-op -- every active flow already
-// carries weight 1 / no cap from the pass that admitted it, and only the
-// schedulers themselves or externally-observed setter churn (which marks the
-// owning job) can disturb that.
 class FairSharingScheduler final : public NetworkScheduler {
  public:
   void control(Simulator&, std::span<Flow*> active) override {
     ++stats_.passes;
-    if (sched_mode_ == SchedMode::kIncremental && !dirty_) {
-      ++stats_.pass_skips;
-      return;
-    }
     for (Flow* f : active) {
       f->set_weight(1.0);
       f->clear_rate_cap();
     }
-    dirty_ = false;
-    ++stats_.full_passes;
   }
-  void mark_job_dirty(JobId) override { dirty_ = true; }
-  void mark_all_jobs_dirty() override { dirty_ = true; }
   [[nodiscard]] std::string name() const override { return "fair"; }
-
- private:
-  bool dirty_ = true;  // conservatively dirty until the first pass
 };
 
 }  // namespace echelon::netsim

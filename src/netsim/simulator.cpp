@@ -53,9 +53,6 @@ Simulator::Simulator(const topology::Topology* topo, SimLoopMode mode,
 
 void Simulator::set_scheduler(NetworkScheduler* scheduler) noexcept {
   scheduler_ = scheduler != nullptr ? scheduler : &default_scheduler_;
-  // A fresh scheduler has seen none of the standing flows: its first pass
-  // must be a full one.
-  mark_all_jobs_dirty();
   allocation_dirty_ = true;
 }
 
@@ -288,7 +285,6 @@ FlowId Simulator::submit_flow(FlowSpec spec, FlowCallback on_done) {
   flows_.at(id.value()).active_index = active_flows_.size();
   active_flows_.push_back(id);  // ids are monotonic: tail push keeps order
   allocation_dirty_ = true;
-  mark_job_dirty(flows_.at(id.value()).spec.job);
   scheduler_->on_flow_arrival(*this, flows_.at(id.value()));
   return id;
 }
@@ -334,43 +330,16 @@ void Simulator::reallocate() {
   for (FlowId id : active_flows_) {
     active_scratch_.push_back(&flows_.at(id.value()));
   }
-  // Pre-control churn scan (DESIGN.md §12): a control_dirty flag standing
-  // *before* the scheduler runs means an external caller touched the flow's
-  // weight/cap through the notification setters since the allocator last
-  // consumed the flag -- genuine churn the per-event mark sites cannot see.
-  // Read-only: the allocator still consumes the flags after control().
-  if (!all_jobs_dirty_) {
-    for (const Flow* f : active_scratch_) {
-      if (f->control_dirty) mark_job_dirty(f->spec.job);
-    }
-  }
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kControlPass,
                                    .t = now_,
                                    .id = control_invocations_,
                                    .ctx = active_scratch_.size()});
-    // Mode-independent by construction: the mark set is maintained whether
-    // or not the scheduler runs incrementally, so traced streams are
-    // bit-identical across SchedModes. value 1.0 flags an all-dirty pass.
+    // Emitted right before control(), so a sink can time the pass.
     trace_->record(obs::TraceEvent{.kind = obs::TraceKind::kSchedPass,
                                    .t = now_,
-                                   .id = control_invocations_,
-                                   .ctx = all_jobs_dirty_
-                                              ? active_scratch_.size()
-                                              : dirty_jobs_.size(),
-                                   .value = all_jobs_dirty_ ? 1.0 : 0.0});
+                                   .id = control_invocations_});
   }
-  // Forward the accumulated dirty-job marks, then clear them: everything the
-  // upcoming pass needs to reconsider has been announced.
-  if (all_jobs_dirty_) {
-    scheduler_->mark_all_jobs_dirty();
-  } else {
-    for (const std::uint64_t j : dirty_jobs_) {
-      scheduler_->mark_job_dirty(JobId{j});
-    }
-  }
-  all_jobs_dirty_ = false;
-  dirty_jobs_.clear();
   scheduler_->control(*this, active_scratch_);
   ++control_invocations_;
   allocator_.allocate(active_scratch_, now_);
@@ -445,10 +414,8 @@ void Simulator::stamp_active_flows(SimTime to) {
     // existing entries stay valid and reallocate() patches in only the
     // flows whose rate actually changed.
     completion_heap_dirty_ = true;
-    // The control-plane era advances with the byte accounting: every
-    // remaining-dependent scheduler quantity (tardiness, gamma, SRPT rank)
-    // must be recomputed after this point. Zero-dt stamps leave every
-    // operand bitwise unchanged and the generation with them.
+    // Zero-dt stamps leave every operand bitwise unchanged and the
+    // generation with them.
     ++accounting_gen_;
   }
   epoch_time_ = to;
@@ -567,7 +534,6 @@ void Simulator::finish_flow(FlowId id) {
   active_flows_.pop_back();
   f.active_index = Flow::kNotActive;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
 
   complete_flow(id, /*notify_scheduler=*/true);
 }
@@ -602,7 +568,6 @@ void Simulator::park_flow(FlowId id) {
   // entry from before the park would otherwise pass the validity check.
   f.completion_gen = ++heap_gen_;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
 
   if (tracing(obs::TraceDetail::kCoarse)) {
     trace_flow(obs::TraceKind::kFlowPark, f, f.remaining);
@@ -661,7 +626,6 @@ void Simulator::resume_flow(FlowId id, topology::Path path) {
   // The resumed id is almost certainly smaller than the current tail.
   active_order_dirty_ = true;
   allocation_dirty_ = true;
-  mark_job_dirty(fr.spec.job);
   scheduler_->on_flow_arrival(*this, fr);
 }
 
@@ -675,7 +639,6 @@ void Simulator::reroute_flow(FlowId id, topology::Path path) {
   // the capacity epoch but not paths, so the reroute must announce itself.
   f.control_dirty = true;
   allocation_dirty_ = true;
-  mark_job_dirty(f.spec.job);
   if (tracing(obs::TraceDetail::kCoarse)) {
     // `remaining` is epoch-stamped, not materialized -- observational only.
     trace_flow(obs::TraceKind::kFlowReroute, f, f.remaining);

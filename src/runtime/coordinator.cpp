@@ -31,13 +31,13 @@ void Coordinator::arm_timer(netsim::Simulator& sim) {
 
 void Coordinator::control(netsim::Simulator& sim,
                           std::span<netsim::Flow*> active) {
-  // An interval boundary with no arrivals or departures since the previous
-  // heuristic run leaves the standing allocation valid -- skip the recompute
-  // (this is what makes interval scheduling cheaper than per-event even at
-  // low event rates).
+  // An interval boundary with no arrivals, departures, topology changes or
+  // registrations since the previous heuristic run leaves the standing
+  // allocation valid -- skip the recompute (this is what makes interval
+  // scheduling cheaper than per-event even at low event rates).
   const bool due = time_le(next_recompute_, sim.now());
   if (config_.mode == SchedulingMode::kInterval && due &&
-      dirty_events_ == 0) {
+      dirty_events_ == 0 && registry_.size() == registered_at_run_) {
     if (!active.empty()) {
       next_recompute_ = sim.now() + config_.interval;
       arm_timer(sim);
@@ -55,6 +55,7 @@ void Coordinator::control(netsim::Simulator& sim,
     }
     ++heuristic_runs_;
     dirty_events_ = 0;
+    registered_at_run_ = registry_.size();
     if (config_.mode == SchedulingMode::kInterval) {
       next_recompute_ = sim.now() + config_.interval;
       if (config_.iterative_reuse) {

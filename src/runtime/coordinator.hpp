@@ -75,20 +75,6 @@ class Coordinator final : public netsim::NetworkScheduler {
     ++dirty_events_;
     policy_.on_flow_departure(sim, flow);
   }
-  // Dirty marks (DESIGN.md §12) feed the inner heuristic's job-scoped
-  // recomputation and double as interval-mode churn detection: a mark with
-  // no accompanying arrival/departure (park/resume, reroute, external
-  // setter churn) still invalidates the standing allocation, so the next
-  // interval boundary re-runs instead of skipping. Mode-independent: the
-  // simulator forwards marks under both SchedModes.
-  void mark_job_dirty(JobId job) override {
-    ++dirty_events_;
-    policy_.mark_job_dirty(job);
-  }
-  void mark_all_jobs_dirty() override {
-    ++dirty_events_;
-    policy_.mark_all_jobs_dirty();
-  }
   // Runtime topology changes (fault injection) invalidate the iterative
   // decision cache: a cached rate was granted against path capacities that
   // no longer hold, and replaying it after a link loss could over-subscribe
@@ -115,12 +101,6 @@ class Coordinator final : public netsim::NetworkScheduler {
  private:
   void arm_timer(netsim::Simulator& sim);
 
-  // The coordinator is a decorator: the interval/reuse machinery is
-  // mode-agnostic, so the mode only needs to reach the inner heuristic.
-  void on_sched_mode(netsim::SchedMode mode) override {
-    policy_.set_sched_mode(mode);
-  }
-
   netsim::Simulator* sim_;
   CoordinatorConfig config_;
   ef::Registry registry_;
@@ -129,7 +109,12 @@ class Coordinator final : public netsim::NetworkScheduler {
 
   SimTime next_recompute_ = 0.0;
   bool timer_pending_ = false;
-  std::uint64_t dirty_events_ = 0;  // arrivals/departures since last run
+  // Arrivals, departures and topology changes since the last heuristic run.
+  // Starts at 1: the first boundary always runs, since nothing is standing.
+  std::uint64_t dirty_events_ = 1;
+  // Registry size at the last heuristic run: a new EchelonFlow can re-bind
+  // deadlines of flows already active, so growth also invalidates.
+  std::size_t registered_at_run_ = 0;
   std::uint64_t heuristic_runs_ = 0;
   std::uint64_t reuse_hits_ = 0;
   std::uint64_t deferred_flows_ = 0;

@@ -21,12 +21,14 @@
 //   sections, each {tag u32, length u64, payload}:
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
 //                   and the TelemetryConfig (v2: metrics_every, series
-//                   budget, flight-recorder capacity, SLO objectives)
+//                   budget, flight-recorder capacity, SLO objectives;
+//                   v4: no scheduler mode field)
 //     2 kArrivals   journal: count, then {outcome u8, at f64, JobSpec}
 //     3 kGenerator  generator kind + progress (Poisson RNG words / trace
 //                   file cursor) + the fetched-but-unconsumed arrival
 //     4 kService    step counter, tick index, journal length, clocks
-//     5 kVerify     named scalar image ({name, u64 bits} pairs), then the
+//     5 kVerify     named scalar image ({name, u64 bits} pairs; v4: the
+//                   only sched.* scalar is sched.passes), then the
 //                   flow table (v3): column count u32, the 12 column names,
 //                   row count u64, one row of 12 little-endian u64 words
 //                   per flow ever submitted
@@ -61,7 +63,9 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
                                            '1'};
 // v2: TelemetryConfig in kConfig + the kTelemetry verification section.
 // v3: kVerify's per-flow records become one columnar flow table.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// v4: kConfig drops the scheduler mode; kVerify drops the always-zero
+//     sched.* counters of the retired incremental control plane.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

@@ -1,9 +1,11 @@
 // Tests for the §5 system sketch: agent + coordinator request path,
-// interval-mode scheduling, iterative decision reuse, and priority-queue
-// enforcement.
+// interval-mode scheduling (including under faults), iterative decision
+// reuse, and priority-queue enforcement.
 
 #include <gtest/gtest.h>
 
+#include "faultsim/fault_plan.hpp"
+#include "faultsim/injector.hpp"
 #include "netsim/simulator.hpp"
 #include "runtime/agent.hpp"
 #include "runtime/backend.hpp"
@@ -118,6 +120,91 @@ TEST_F(RuntimeFixture, IterativeReuseGrantsCachedRates) {
   // The cached decision was full rate -> finishes at 3.0 without waiting
   // for the t=5 recompute.
   EXPECT_NEAR(sim.flow(FlowId{1}).finish_time, 3.0, 1e-9);
+}
+
+// Interval coordinator under a mid-interval fault. Two long cross-leaf flows
+// on a 2x2 leaf-spine run through quiet interval boundaries (no arrival or
+// departure, so the heuristic is skipped) until a fault fires at t=2.5. The
+// fault's reroute or park must still make the t=3 boundary re-run the
+// heuristic; without a fault that boundary skips.
+struct IntervalFaultRun {
+  std::uint64_t runs_before = 0;  // heuristic runs at t=2.9
+  std::uint64_t runs_after = 0;   // heuristic runs at t=3.1
+  faultsim::FaultSummary summary;
+  bool flows_active_at_3_1 = false;
+};
+
+enum class MidIntervalFault { kNone, kUplinkDown, kDstNodeDown };
+
+IntervalFaultRun run_interval_fault(MidIntervalFault fault) {
+  topology::BuiltFabric fabric = topology::make_leaf_spine(
+      {.leaves = 2, .spines = 2, .hosts_per_leaf = 2, .host_link = 10.0,
+       .uplink = 10.0});
+  Simulator sim(&fabric.topo);
+  Coordinator coord(&sim, {.mode = SchedulingMode::kInterval, .interval = 1.0});
+  sim.set_scheduler(&coord);
+  // host0 (leaf 0) -> host2 (leaf 1) and host1 (leaf 0) -> host3 (leaf 1):
+  // 100 B at 10 B/s each, so both are still in flight at t=3.1.
+  const FlowId a = sim.submit_flow(FlowSpec{
+      .src = fabric.hosts[0], .dst = fabric.hosts[2], .size = 100.0});
+  const FlowId b = sim.submit_flow(FlowSpec{
+      .src = fabric.hosts[1], .dst = fabric.hosts[3], .size = 100.0});
+
+  faultsim::FaultPlan plan;
+  plan.max_retries = 1;       // a parked flow is abandoned at its first
+  plan.retry_backoff = 10.0;  // retry, long after the boundary under test
+  if (fault == MidIntervalFault::kUplinkDown) {
+    // Flow a's leaf0 -> spine uplink; the other spine survives.
+    const LinkId uplink = sim.flow(a).path.at(1);
+    plan.events.push_back({.at = 2.5,
+                           .kind = faultsim::FaultKind::kLinkDown,
+                           .target = uplink.value()});
+  } else if (fault == MidIntervalFault::kDstNodeDown) {
+    plan.events.push_back({.at = 2.5,
+                           .kind = faultsim::FaultKind::kNodeDown,
+                           .target = fabric.hosts[2].value()});
+  }
+  faultsim::FaultInjector injector(&sim, &fabric.topo, &plan);
+  injector.arm();
+
+  IntervalFaultRun out;
+  sim.schedule_at(2.9, [&](Simulator&) {
+    out.runs_before = coord.heuristic_runs();
+  });
+  sim.schedule_at(3.1, [&](Simulator& s) {
+    out.runs_after = coord.heuristic_runs();
+    out.flows_active_at_3_1 =
+        s.flow(b).state == netsim::FlowState::kActive &&
+        s.flow(b).remaining > 0.0 &&
+        s.flow(a).state != netsim::FlowState::kFinished;
+  });
+  sim.run();
+  out.summary = injector.summary();
+  return out;
+}
+
+TEST(IntervalCoordinatorFaults, QuietBoundarySkipsTheHeuristic) {
+  const IntervalFaultRun r = run_interval_fault(MidIntervalFault::kNone);
+  EXPECT_TRUE(r.flows_active_at_3_1);
+  EXPECT_GE(r.runs_before, 1u);
+  EXPECT_EQ(r.runs_after, r.runs_before);
+}
+
+TEST(IntervalCoordinatorFaults, RerouteReRunsTheHeuristicAtNextBoundary) {
+  const IntervalFaultRun r = run_interval_fault(MidIntervalFault::kUplinkDown);
+  EXPECT_TRUE(r.flows_active_at_3_1);
+  EXPECT_GE(r.summary.reroutes, 1u);
+  EXPECT_EQ(r.summary.parks, 0u);
+  EXPECT_EQ(r.runs_after, r.runs_before + 1);
+}
+
+TEST(IntervalCoordinatorFaults, ParkReRunsTheHeuristicAtNextBoundary) {
+  const IntervalFaultRun r =
+      run_interval_fault(MidIntervalFault::kDstNodeDown);
+  EXPECT_TRUE(r.flows_active_at_3_1);
+  EXPECT_EQ(r.summary.parks, 1u);
+  EXPECT_EQ(r.summary.reroutes, 0u);
+  EXPECT_EQ(r.runs_after, r.runs_before + 1);
 }
 
 TEST_F(RuntimeFixture, PriorityQueueEnforcerQuantizesToWeights) {

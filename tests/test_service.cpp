@@ -609,10 +609,14 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
 }
 
 TEST_F(CorruptSnapshotTest, PreviousVersionIsRefused) {
-  std::string m = bytes_;
-  m[8] = 2;  // v2: per-flow named fields, no converter
-  EXPECT_NE(expect_snapshot_error(restamp(m)).find("version"),
-            std::string::npos);
+  // v2: per-flow named fields; v3: scheduler mode in kConfig. No converter.
+  for (const char v : {2, 3}) {
+    std::string m = bytes_;
+    m[8] = v;
+    EXPECT_NE(expect_snapshot_error(restamp(m)).find("version"),
+              std::string::npos)
+        << "version " << static_cast<int>(v);
+  }
 }
 
 // A flipped bit in a flow row is reported as flow[<i>].<column>.

@@ -15,20 +15,12 @@
 //   --gbps G           (default 25)     --microbatches N (default 6)
 //   --layers N         (default 8)      --hidden N       (default 2048)
 //   --jitter X         (default 0)      --timeline       (render Gantt)
-//   --sched-mode full|incremental      (default incremental; DESIGN.md §12:
-//                       incremental = dirty-job-scoped control passes, full =
-//                       reference recompute-everything mode. Bit-identical.)
 //
 // `cluster` options:
 //   --jobs N (default 12)  --hosts N (default 16)  --seed S (default 42)
 //   --gbps G (default 25)  --iterations N (default 2)
 //   --scheduler <name>|all (default all)  --csv PATH (write results CSV)
 //     names: fair|srpt|coflow|sincronia|echelonflow|all
-//   --sched-mode full|incremental (default incremental; same as `single`)
-//   --churn-seed S (default 0 = off): seeded external weight churn through
-//     the Flow notification setters, one active flow per simulated
-//     millisecond -- exercises the control_dirty -> job-mark path
-//     (EXPERIMENTS.md EXT-R). Deterministic and SchedMode-independent.
 //   --threads N (default 0 = one per hardware thread; 1 = serial)
 //     scheduler comparisons run through cluster::run_sweep; output is
 //     identical for any thread count.
@@ -60,7 +52,7 @@
 //   --max-running N (default 0 = unlimited)  --queue-cap N (default 16)
 //   --tardiness-limit X seconds (default 1; tardiness-aware load shedding)
 //   --control-period T seconds (default 0.01) forced control-pass interval
-//   --sched-mode full|incremental  --threads N   (same as `cluster`)
+//   --threads N (default 1; negative clamps to 0 = all shared-pool workers)
 //   --chaos N --chaos-seed S --chaos-horizon T   seeded link faults +
 //                       brownouts (stragglers stay 0: service workers are
 //                       created at launch time, after the plan is armed)
@@ -98,6 +90,9 @@
 //                       out of the deterministic registries, exported as a
 //                       "service control" Perfetto process with --trace-out)
 //
+// Numeric flags are parsed strictly: a value that is not entirely a number
+// (`--hosts abc`, `--jobs 3x`) is reported and exits with status 2.
+//
 // observability options (both `single` and `cluster`, DESIGN.md §9):
 //   --trace-out PATH    write a Perfetto/Chrome trace_event JSON trace
 //                       (open in https://ui.perfetto.dev). `cluster` writes
@@ -114,6 +109,7 @@
 //     flags on or off (tests/test_obs.cpp pins this).
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -165,13 +161,28 @@ struct Args {
     const auto it = kv.find(key);
     return it != kv.end() ? it->second : def;
   }
+  // Numeric flags must parse in full; anything else exits with status 2.
   [[nodiscard]] int geti(const std::string& key, int def) const {
-    const auto it = kv.find(key);
-    return it != kv.end() ? std::atoi(it->second.c_str()) : def;
+    return number(key, def);
   }
   [[nodiscard]] double getd(const std::string& key, double def) const {
+    return number(key, def);
+  }
+
+ private:
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key, T def) const {
     const auto it = kv.find(key);
-    return it != kv.end() ? std::atof(it->second.c_str()) : def;
+    if (it == kv.end()) return def;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      std::cerr << "invalid value '" << text << "' for --" << key << "\n";
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -214,22 +225,6 @@ struct ObsArgs {
   if (!obs::trace_detail_from_string(detail, &out->detail)) {
     std::cerr << "unknown --trace-detail '" << detail
               << "' (expected off|coarse|flow)\n";
-    return false;
-  }
-  return true;
-}
-
-// --sched-mode (DESIGN.md §12): both values produce bit-identical results;
-// `full` is the reference mode the churn-equivalence suite compares against.
-[[nodiscard]] bool parse_sched_mode(const Args& args, netsim::SchedMode* out) {
-  const std::string mode = args.get("sched-mode", "incremental");
-  if (mode == "incremental") {
-    *out = netsim::SchedMode::kIncremental;
-  } else if (mode == "full") {
-    *out = netsim::SchedMode::kFullRecompute;
-  } else {
-    std::cerr << "unknown --sched-mode '" << mode
-              << "' (expected full|incremental)\n";
     return false;
   }
   return true;
@@ -347,12 +342,7 @@ int cmd_single(const Args& args) {
   ef::Registry reg;
   reg.attach(sim);
   auto sched = make_scheduler(sched_name, &reg);
-  netsim::SchedMode sched_mode;
-  if (!parse_sched_mode(args, &sched_mode)) return 2;
-  if (sched) {
-    sched->set_sched_mode(sched_mode);
-    sim.set_scheduler(sched.get());
-  }
+  if (sched) sim.set_scheduler(sched.get());
   netsim::TimelineRecorder timeline(sim);
 
   // Observability: attach only when requested -- the default run carries a
@@ -482,9 +472,6 @@ int cmd_cluster(const Args& args) {
     return 2;
   }
 
-  netsim::SchedMode sched_mode;
-  if (!parse_sched_mode(args, &sched_mode)) return 2;
-
   // Optional fault injection: a scripted plan file, or a seeded chaos
   // profile drawn against the same fabric shape run_experiment will build.
   const int hosts = args.geti("hosts", 16);
@@ -533,8 +520,6 @@ int cmd_cluster(const Args& args) {
     cfg.scheduler = kind;
     cfg.hosts = hosts;
     cfg.port_capacity = gbps(cap_gbps);
-    cfg.sched_mode = sched_mode;
-    cfg.churn_seed = static_cast<std::uint64_t>(args.geti("churn-seed", 0));
     // Intra-run data parallelism (per-component water-fill etc.); results
     // are bit-identical at any setting, so this is purely a speed knob.
     cfg.threads =
@@ -661,9 +646,8 @@ int cmd_serve(const Args& args) {
   cfg.hosts = args.geti("hosts", 16);
   cfg.port_capacity = gbps(args.getd("gbps", 25.0));
   cfg.oversubscription = args.getd("oversub", 2.0);
-  cfg.threads = static_cast<unsigned>(args.geti("threads", 1));
+  cfg.threads = static_cast<unsigned>(std::max(0, args.geti("threads", 1)));
   cfg.control_period = args.getd("control-period", 0.01);
-  if (!parse_sched_mode(args, &cfg.sched_mode)) return 2;
   try {
     cfg.admission.policy = service::admission_policy_from_string(
         args.get("admission", "accept-all"));
