@@ -221,8 +221,8 @@ int main(int argc, char** argv) {
                               echelon::benchutil::kGitCommit);
   benchmark::AddCustomContext("echelon_git_dirty",
                               echelon::benchutil::kGitDirty);
-  // Machine shape: thread-scaling numbers are only comparable between
-  // identically-shaped hosts (tools/check_bench_regression.py checks this).
+  // Machine shape: baselines are only comparable between identically-shaped
+  // hosts, so every run records the one it came from.
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());

@@ -24,7 +24,7 @@
 //
 // Benchmark names carry a "routes:" argument; tools/check_bench_regression.py
 // treats that as a structural family (excluded from the machine-speed
-// calibration median, like "threads:"). Emit JSON for trajectory tracking
+// calibration median). Emit JSON for trajectory tracking
 // with: bench_route_class --benchmark_format=json
 
 #include <benchmark/benchmark.h>

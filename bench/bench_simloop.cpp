@@ -142,8 +142,10 @@ void run_sweep_bench(benchmark::State& state, unsigned threads) {
 void BM_SweepSerial(benchmark::State& state) { run_sweep_bench(state, 1); }
 void BM_SweepParallel(benchmark::State& state) { run_sweep_bench(state, 0); }
 
-BENCHMARK(BM_SweepSerial);
-BENCHMARK(BM_SweepParallel);
+// Real time: the parallel leg's work runs on pool workers, so main-thread
+// CPU time (the default clock) would overstate its items_per_second.
+BENCHMARK(BM_SweepSerial)->UseRealTime();
+BENCHMARK(BM_SweepParallel)->UseRealTime();
 
 }  // namespace
 
@@ -158,8 +160,8 @@ int main(int argc, char** argv) {
                               echelon::benchutil::kGitCommit);
   benchmark::AddCustomContext("echelon_git_dirty",
                               echelon::benchutil::kGitDirty);
-  // Machine shape: thread-scaling numbers are only comparable between
-  // identically-shaped hosts (tools/check_bench_regression.py checks this).
+  // Machine shape: baselines are only comparable between identically-shaped
+  // hosts, so every run records the one it came from.
   benchmark::AddCustomContext(
       "echelon_hardware_concurrency",
       echelon::benchutil::hardware_concurrency_context());

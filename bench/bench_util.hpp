@@ -77,11 +77,9 @@ inline bool warn_if_not_release() {
 // --- machine-shape context ---------------------------------------------------
 // Every gbench main records the host's hardware concurrency and the shared
 // ThreadPool's participant count in its JSON context
-// (`echelon_hardware_concurrency` / `echelon_pool_participants`). The
-// throughput_vs_threads bench family only makes sense relative to the
-// machine shape it ran on; tools/check_bench_regression.py refuses to gate
-// thread-scaling numbers against a baseline recorded on a differently-
-// shaped host.
+// (`echelon_hardware_concurrency` / `echelon_pool_participants`), so a
+// baseline can be traced to the machine shape it was recorded on (the
+// sweep benches' parallel legs scale with it).
 [[nodiscard]] inline std::string hardware_concurrency_context() {
   return std::to_string(std::thread::hardware_concurrency());
 }

@@ -89,16 +89,10 @@ struct ExperimentConfig {
   // nullptr (proven by tests/test_faults.cpp).
   const faultsim::FaultPlan* fault_plan = nullptr;
 
-  // --- intra-run parallelism (DESIGN.md §10) ---
-  // Worker count for the simulator's data-parallel sections (per-component
-  // water-fill, active-flow stamping, completion-heap preparation, group-
-  // cache validation). 1 = fully serial (default; no pool touched); 0 = all
-  // participants of the process-wide shared pool; N = at most N
-  // participants. Results are bit-identical at every setting -- parallel
-  // sections execute the same FP expressions on the same operands and merge
-  // in a deterministic order (tests/test_parallel_equivalence.cpp pins
-  // this). Nested-safe under run_sweep: inner dispatches from sweep workers
-  // run inline-serially on the shared pool.
+  // Ignored: every run is serial (DESIGN.md §10). Kept only so existing
+  // callers that still assign it (the perfbench workloads) compile
+  // unchanged; parallelism lives one level up, across sweep points
+  // (SweepOptions::threads).
   unsigned threads = 1;
 
   // --- observability (DESIGN.md §9) ---

@@ -30,13 +30,13 @@ void parallel_for_indexed(std::size_t n, unsigned threads,
   threads = resolve_threads(threads, n);
 
   // Dispatch onto the process-wide shared pool instead of spawning a
-  // per-call thread vector (satellite of DESIGN.md §10): repeated sweeps
-  // reuse parked workers, and a sweep point that itself runs a threaded
-  // simulator nests safely -- ThreadPool::run detects re-entry from a pool
-  // task and degrades to an inline serial loop rather than deadlocking on
-  // its own workers. The pool preserves this function's contract: every
-  // index is attempted exactly once and the lowest failing index is
-  // rethrown, matching what a serial loop would have thrown first.
+  // per-call thread vector: repeated sweeps reuse parked workers, and a
+  // nested call from inside a sweep point is safe -- ThreadPool::run
+  // detects re-entry from a pool task and degrades to an inline serial
+  // loop rather than deadlocking on its own workers. The pool preserves
+  // this function's contract: every index is attempted exactly once and
+  // the lowest failing index is rethrown, matching what a serial loop
+  // would have thrown first.
   ThreadPool::shared().run(n, threads,
                            [&fn](unsigned, std::size_t i) { fn(i); });
 }

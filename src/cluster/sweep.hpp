@@ -15,10 +15,11 @@
 // cursors (dynamic load balancing; sweep points can differ wildly in
 // cost). Exceptions thrown by a point are captured and rethrown on the
 // calling thread -- the lowest failing index wins, matching serial
-// semantics. Nested-parallelism safe: a sweep point whose experiment
-// config enables intra-run parallelism (ExperimentConfig::threads) shares
-// the same pool; inner dispatches from pool workers run inline-serially
-// by construction, so a sweep can never deadlock on its own workers.
+// semantics. run_sweep / parallel_for_indexed are the pool's one user in
+// src/: each experiment itself runs serially (DESIGN.md §10). Nested-
+// parallelism safe: a dispatch issued from inside a pool task runs
+// inline-serially by construction, so a sweep can never deadlock on its
+// own workers.
 
 #pragma once
 

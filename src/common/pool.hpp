@@ -1,5 +1,6 @@
-// Shared work-stealing thread pool for intra-run parallelism
-// (DESIGN.md §10).
+// Shared work-stealing thread pool behind cluster::run_sweep /
+// parallel_for_indexed, its one user: independent sweep points run on it
+// in parallel, while each simulator run is serial (DESIGN.md §10).
 //
 // One pool per process (ThreadPool::shared()), persistent workers parked on
 // a condition variable between jobs. run(n, max_workers, fn) invokes
@@ -20,13 +21,12 @@
 //
 // Determinism: the pool provides *scheduling*, never *ordering*. Callers
 // that need a deterministic result must make their per-index work writes
-// disjoint (or thread-confined via WorkerScratch) and perform any
-// order-sensitive merge after run() returns -- the pattern every user in
-// this codebase follows (RateAllocator's ascending-component merge,
-// run_sweep's pre-sized result slots).
+// disjoint (or thread-confined per worker index) and perform any
+// order-sensitive merge after run() returns -- as run_sweep does with its
+// pre-sized, point-indexed result slots.
 //
 // Nested parallelism (deadlock-free by construction): a run() issued from
-// inside a pool task -- e.g. a Simulator parallel fill inside a run_sweep
+// inside a pool task -- e.g. a parallel_for_indexed issued by a run_sweep
 // point -- is detected through a thread-local flag and executed inline on
 // the calling thread, serially. Workers therefore never *wait* on other
 // workers, so no cycle of waits can form. The non-nested entry additionally
@@ -85,7 +85,7 @@ class ThreadPool {
   // Invokes fn(worker, i) for every i in [0, n) exactly once across up to
   // min(max_workers, concurrency(), n) participants (max_workers == 0 means
   // "all"). `worker` is a dense participant index in [0, participants);
-  // callers use it to select thread-confined scratch (WorkerScratch).
+  // callers may use it to select thread-confined scratch.
   // Blocks until every index has run; rethrows the lowest-index exception.
   template <typename F>
   void run(std::size_t n, unsigned max_workers, F&& fn) {

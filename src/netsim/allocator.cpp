@@ -97,17 +97,13 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
   // --- Phase C: per component, reuse the cached converged rates when the
   // inputs are provably unchanged, otherwise water-fill (and re-cache).
   //
-  // Structured as validate -> fill -> merge so the fills can run on the
-  // shared pool (DESIGN.md §10). The serial cache-validation pass collects
-  // the miss list (ascending component order) plus each miss's in-place
-  // refresh candidate; the fills -- pure functions of per-component inputs
-  // writing only their own members' rates and their own (link-disjoint)
-  // links_ slots -- run in any order on any thread; and every
-  // order-sensitive effect (record stores, stats, kCompFill emission)
-  // happens serially afterwards in ascending-component order. Both paths
-  // execute identical floating-point expressions on identical operands, so
-  // rates, stats, the dirty set and the trace stream are bit-identical at
-  // any thread count, including the serial path. ---
+  // Structured as validate -> partition -> fill -> merge: the
+  // cache-validation pass collects the miss list (ascending component
+  // order) plus each miss's in-place refresh candidate, which the class
+  // partition needs before any fill runs; the fills write only their own
+  // components' class/member rates and their own (link-disjoint) links_
+  // slots; and the record stores and rate scatter follow in
+  // ascending-component order. ---
   stats_.components += comps;
   const std::uint64_t filled_before = stats_.components_filled;
   fill_comps_.clear();
@@ -125,79 +121,46 @@ void RateAllocator::allocate(std::span<Flow*> flows, SimTime now) {
 
   // --- Phase B2: equivalence-class partition of exactly the members of
   // to-be-filled components (reused components never pay for it), plus each
-  // fill component's deduped link list. Serial; the fills below only read
-  // its output. ---
+  // fill component's deduped link list. The fills below only read its
+  // output. ---
   partition_classes();
 
-  // Per-fill-component trace emission: one kCompFill (member count) + one
-  // kClassFill (class count) pair, keyed on the component id so the merged
-  // stream is in ascending-component order at any thread count (same-key
-  // ties resolve by per-shard emission order -- the pair stays adjacent).
+  // Per-fill-component trace emission, in ascending-component order: one
+  // kCompFill (member count) + one kClassFill (class count) pair. kClassFill
+  // is emitted at *both* fill granularities (the partition is computed
+  // regardless), keeping traced streams bit-identical across the
+  // class-vs-per-flow differential suite.
   const bool emit_comps = trace_ != nullptr && trace_components_;
-  const auto fill_one = [&](std::size_t rank, FillScratch& fs) {
+  for (std::size_t i = 0; i < fill_comps_.size(); ++i) {
     if (fill_ == FillMode::kClass) {
-      fill_component_class(rank, fs);
+      fill_component_class(i);
     } else {
-      fill_component_perflow(rank, fs);
+      fill_component_perflow(i);
     }
-  };
-  const auto comp_fill_event = [&](std::uint32_t c) {
-    return obs::TraceEvent{
+    if (!emit_comps) continue;
+    const std::uint32_t c = fill_comps_[i];
+    trace_->record(obs::TraceEvent{
         .kind = obs::TraceKind::kCompFill,
         .t = now,
         .id = pass_ - 1,
         .job = obs::TraceEvent::kNone,
         .ctx = c,
-        .value = static_cast<double>(comp_start_[c + 1] - comp_start_[c])};
-  };
-  // kClassFill is emitted at *both* fill granularities (the partition is
-  // computed regardless), keeping traced streams bit-identical across the
-  // class-vs-per-flow differential suite.
-  const auto class_fill_event = [&](std::size_t rank, std::uint32_t c) {
-    return obs::TraceEvent{
+        .value = static_cast<double>(comp_start_[c + 1] - comp_start_[c])});
+    trace_->record(obs::TraceEvent{
         .kind = obs::TraceKind::kClassFill,
         .t = now,
         .id = pass_ - 1,
         .job = obs::TraceEvent::kNone,
         .ctx = c,
-        .value = static_cast<double>(rank_class_start_[rank + 1] -
-                                     rank_class_start_[rank])};
-  };
-  if (pool_ != nullptr && fill_comps_.size() > 1) {
-    const unsigned workers =
-        std::min<unsigned>(threads_ == 0 ? pool_->concurrency() : threads_,
-                           pool_->concurrency());
-    fill_scratch_.begin_pass(workers);
-    if (emit_comps) comp_shards_.begin(workers);
-    pool_->run(fill_comps_.size(), workers, [&](unsigned w, std::size_t i) {
-      const std::uint32_t c = fill_comps_[i];
-      fill_one(i, fill_scratch_.at(w));
-      if (emit_comps) {
-        comp_shards_.record(w, c, comp_fill_event(c));
-        comp_shards_.record(w, c, class_fill_event(i, c));
-      }
-    });
-    if (emit_comps) comp_shards_.merge_into(*trace_);
-  } else {
-    fill_scratch_.begin_pass(1);
-    FillScratch& fs = fill_scratch_.at(0);
-    for (std::size_t i = 0; i < fill_comps_.size(); ++i) {
-      const std::uint32_t c = fill_comps_[i];
-      fill_one(i, fs);
-      if (emit_comps) {
-        trace_->record(comp_fill_event(c));
-        trace_->record(class_fill_event(i, c));
-      }
-    }
+        .value = static_cast<double>(rank_class_start_[i + 1] -
+                                     rank_class_start_[i])});
   }
 
-  // Deterministic merge: the converged rates fan back out to the flows in a
-  // serial scatter -- ascending fill-component order, ascending slot (==
-  // ascending FlowId) within each component -- followed by the record-cache
-  // store, exactly as the interleaved serial loop did. (Fills write only
+  // Merge: the converged rates fan back out to the flows -- ascending
+  // fill-component order, ascending slot (== ascending FlowId) within each
+  // component -- followed by the record-cache store. (Fills write only
   // cls_rate_/member_rate_; Flow::rate is written here and nowhere else on
-  // the fill path, so the scatter order is the only rate-write order and is
-  // independent of thread count.)
+  // the fill path.)
   stats_.components_filled += fill_comps_.size();
   stats_.classes += n_classes_;
   stats_.class_members += dirty_slots_.size();
@@ -395,13 +358,8 @@ void RateAllocator::partition_classes() {
 //      (the class repeats the subtraction count times -- the identical
 //      per-link value sequence as consecutive per-flow members).
 // Each round freezes at least one unit or saturates at least one link, so
-// the loop terminates in O(units + links) rounds. Components are
-// link-disjoint by construction, so concurrent fills of distinct
-// components are race-free (the mutable working set `fs` is
-// thread-confined per participant).
-void RateAllocator::fill_component_class(std::size_t rank, FillScratch& fs) {
-  std::vector<std::uint32_t>& unfrozen_ = fs.unfrozen;
-  std::vector<std::uint32_t>& next_ = fs.next;
+// the loop terminates in O(units + links) rounds.
+void RateAllocator::fill_component_class(std::size_t rank) {
   unfrozen_.assign(rank_classes_.begin() + rank_class_start_[rank],
                    rank_classes_.begin() + rank_class_start_[rank + 1]);
   const std::uint32_t link_begin = rank_link_start_[rank];
@@ -466,13 +424,10 @@ void RateAllocator::fill_component_class(std::size_t rank, FillScratch& fs) {
   }
 }
 
-void RateAllocator::fill_component_perflow(std::size_t rank,
-                                           FillScratch& fs) {
+void RateAllocator::fill_component_perflow(std::size_t rank) {
   // Reference granularity: units are individual members, enumerated in
   // class-major order (class id ascending, slot ascending within) -- the
   // exact order the class fill logically treats them in.
-  std::vector<std::uint32_t>& unfrozen_ = fs.unfrozen;
-  std::vector<std::uint32_t>& next_ = fs.next;
   unfrozen_.clear();
   for (std::uint32_t ki = rank_class_start_[rank];
        ki < rank_class_start_[rank + 1]; ++ki) {

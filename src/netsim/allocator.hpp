@@ -61,8 +61,6 @@
 #include <span>
 #include <vector>
 
-#include "common/pool.hpp"
-#include "common/scratch.hpp"
 #include "common/time.hpp"
 #include "netsim/flow.hpp"
 #include "obs/trace.hpp"
@@ -123,28 +121,12 @@ class RateAllocator {
   // detail >= kFlow), every water-filled component emits a kCompFill event
   // (id = pass index, ctx = component id, value = member count) followed by
   // a kClassFill event (same keys, value = equivalence-class count) in
-  // ascending-component order -- parallel fills record into per-worker
-  // shards and merge on the same key, so the stream is bit-identical at any
-  // thread count *and* across fill granularities. nullptr (the default)
-  // detaches: the emission site reduces to a single pointer compare and the
-  // pass performs no extra work.
+  // ascending-component order, so the stream is bit-identical across fill
+  // granularities. nullptr (the default) detaches: the emission site
+  // reduces to a single pointer compare and the pass performs no extra work.
   void set_trace(obs::TraceSink* sink, bool per_component = false) noexcept {
     trace_ = sink;
     trace_components_ = sink != nullptr && per_component;
-  }
-
-  // Intra-pass parallelism (DESIGN.md §10): water-fill independent
-  // contention components on up to `threads` pool participants. Components
-  // are link-disjoint, each fill writes only its own members' rates and its
-  // own links' scratch slots, and every order-sensitive effect (cache
-  // stores, stats, dirty-set handoff, trace emission) happens serially in
-  // ascending-component order after the join -- so results, stats and
-  // traces are bit-identical to the serial pass at any thread count.
-  // threads == 1 or pool == nullptr restores the serial path (the
-  // default); threads == 0 uses every pool participant.
-  void set_parallelism(ThreadPool* pool, unsigned threads) noexcept {
-    pool_ = threads == 1 ? nullptr : pool;
-    threads_ = threads;
   }
 
   [[nodiscard]] AllocMode mode() const noexcept { return mode_; }
@@ -229,32 +211,21 @@ class RateAllocator {
 
   static constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
 
-  // Thread-confined working set of one water-fill: the unfrozen member list
-  // and its next-round double buffer. One per pool participant
-  // (WorkerScratch) so concurrent component fills never share them; the
-  // serial path uses slot 0.
-  struct FillScratch {
-    std::vector<std::uint32_t> unfrozen;
-    std::vector<std::uint32_t> next;
-  };
-
   [[nodiscard]] std::uint32_t uf_find(std::uint32_t slot) noexcept;
   // Partitions the members of every to-be-filled component into (route,
   // weight, cap) equivalence classes and builds each component's deduped
-  // link list. Serial; output is read-only during the (possibly parallel)
-  // fills. See allocate() Phase B2.
+  // link list, read-only during the fills. See allocate() Phase B2.
   void partition_classes();
   // Progressive filling of fill component `rank` (index into fill_comps_)
   // at class granularity: the working units are the component's classes and
   // converged rates land in cls_rate_. Touches only the component's own
-  // links_/class state plus `fs` -- safe to run concurrently for distinct
-  // components with distinct scratch.
-  void fill_component_class(std::size_t rank, FillScratch& fs);
+  // links_/class state plus unfrozen_/next_.
+  void fill_component_class(std::size_t rank);
   // The same canonical fill with every class member as its own unit
   // (reference granularity); converged rates land in member_rate_. Executes
   // bit-identical arithmetic to fill_component_class -- see DESIGN.md §11
   // for the grouping-invariance argument.
-  void fill_component_perflow(std::size_t rank, FillScratch& fs);
+  void fill_component_perflow(std::size_t rank);
   // Exact cache validation; on hit restores the cached rates and returns
   // true. Collision-proof: compares member ids positionally plus the
   // recorded weight/cap values bit-for-bit.
@@ -273,8 +244,6 @@ class RateAllocator {
   std::uint64_t pass_ = 0;
   obs::TraceSink* trace_ = nullptr;  // null => zero-cost emission branch
   bool trace_components_ = false;    // emit kCompFill per filled component
-  ThreadPool* pool_ = nullptr;       // null => serial fills (the default)
-  unsigned threads_ = 1;
 
   // --- reusable arenas (allocation-free after warm-up) ---
   topology::LinkScratch<LinkLoad> links_;
@@ -286,10 +255,10 @@ class RateAllocator {
   std::vector<std::uint32_t> comp_start_;   // comps+1 prefix offsets
   std::vector<std::uint32_t> comp_cursor_;
   std::vector<std::uint32_t> comp_members_; // bucketed slots, span order
-  WorkerScratch<FillScratch> fill_scratch_; // per-participant fill arenas
+  std::vector<std::uint32_t> unfrozen_;     // water-fill working set and
+  std::vector<std::uint32_t> next_;         // its next-round double buffer
   std::vector<std::uint32_t> fill_comps_;   // components to fill, ascending
   std::vector<std::uint32_t> fill_cands_;   // reuse_candidate per fill comp
-  obs::TraceShards comp_shards_;            // parallel kCompFill emission
   std::vector<double> prev_rate_;           // span-parallel rate snapshot
   std::vector<Flow*> rate_changed_;
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/pool.hpp"
 #include "common/timer.hpp"
 #include "echelon/coflow_madd.hpp"
 #include "echelon/sincronia.hpp"
@@ -123,13 +122,6 @@ void ServiceLoop::build_stack() {
     scheduler_ = pq_.get();
   }
   sim_.set_scheduler(scheduler_);
-
-  if (config_.threads != 1) {
-    sim_.set_parallelism(&ThreadPool::shared(), config_.threads);
-    if (auto* madd = dynamic_cast<ef::EchelonMaddScheduler*>(policy_.get())) {
-      madd->set_parallelism(&ThreadPool::shared(), config_.threads);
-    }
-  }
 
   attach_observability(config_.trace_sink, config_.trace_detail,
                        config_.metrics);

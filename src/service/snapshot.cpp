@@ -759,7 +759,6 @@ std::string save_snapshot(const ServiceLoop& loop) {
     w.u32(static_cast<std::uint32_t>(c.loop_mode));
     w.u32(static_cast<std::uint32_t>(c.alloc_mode));
     w.u32(static_cast<std::uint32_t>(c.fill_mode));
-    w.u32(c.threads);
     w.f64(c.control_period);
     w.u32(static_cast<std::uint32_t>(c.admission.policy));
     w.u64(c.admission.max_running);
@@ -944,7 +943,6 @@ std::unique_ptr<ServiceLoop> restore_snapshot(const std::string& bytes,
       throw SnapshotError("snapshot: config.fill_mode is out of range");
     }
     config.fill_mode = static_cast<netsim::FillMode>(fill);
-    config.threads = c.u32("config.threads");
     config.control_period = c.f64("config.control_period");
     const std::uint32_t policy = c.u32("config.admission.policy");
     if (policy >

@@ -22,7 +22,7 @@
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
 //                   and the TelemetryConfig (v2: metrics_every, series
 //                   budget, flight-recorder capacity, SLO objectives;
-//                   v4: no scheduler mode field)
+//                   v4: no scheduler mode field; v5: no thread count)
 //     2 kArrivals   journal: count, then {outcome u8, at f64, JobSpec}
 //     3 kGenerator  generator kind + progress (Poisson RNG words / trace
 //                   file cursor) + the fetched-but-unconsumed arrival
@@ -65,7 +65,8 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v3: kVerify's per-flow records become one columnar flow table.
 // v4: kConfig drops the scheduler mode; kVerify drops the always-zero
 //     sched.* counters of the retired incremental control plane.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// v5: kConfig drops the intra-run thread count (every run is serial).
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

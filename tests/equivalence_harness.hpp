@@ -36,7 +36,6 @@
 
 #include "cluster/experiment.hpp"
 #include "cluster/trace.hpp"
-#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "faultsim/fault_plan.hpp"
 #include "netsim/allocator.hpp"
@@ -128,11 +127,6 @@ struct RunSpec {
   // must produce bit-identical results and trace streams.
   netsim::FillMode fill = netsim::FillMode::kClass;
   const faultsim::FaultPlan* plan = nullptr;  // nullptr = fault-free
-  // Intra-run parallelism width (ExperimentConfig::threads): 1 = serial,
-  // 0 = every shared-pool participant, N = at most N. Results must be
-  // bit-identical at every setting -- that IS the axis
-  // tests/test_parallel_equivalence.cpp sweeps.
-  unsigned threads = 1;
   // Optional structured-event capture (differential suites compare whole
   // streams, not just end-of-run aggregates).
   obs::TraceSink* trace_sink = nullptr;
@@ -152,7 +146,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.alloc_mode = spec.alloc;
   cfg.fill_mode = spec.fill;
   cfg.fault_plan = spec.plan;
-  cfg.threads = spec.threads;
   if (spec.trace_sink != nullptr) {
     cfg.trace_sink = spec.trace_sink;
     cfg.trace_detail = spec.trace_detail;
@@ -352,10 +345,6 @@ struct ScenarioOptions {
   // capacity-epoch invalidation path of the incremental allocator.
   bool capacity_churn = false;
   netsim::NetworkScheduler* sched = nullptr;  // nullptr = fair sharing
-  // Intra-run parallelism width (see RunSpec::threads). Crank `flows` past
-  // the simulator's kParallelBatch (512 active) to exercise the wide
-  // stamping / heap-prep paths, not just the allocator fill.
-  unsigned threads = 1;
 };
 
 struct ScenarioOutcome {
@@ -375,9 +364,6 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
   auto fabric = topology::make_big_switch(8, gbps(10));
   netsim::Simulator sim(&fabric.topo, opt.loop, opt.alloc);
   if (opt.sched != nullptr) sim.set_scheduler(opt.sched);
-  if (opt.threads != 1) {
-    sim.set_parallelism(&ThreadPool::shared(), opt.threads);
-  }
 
   ScenarioOutcome out;
   sim.add_flow_listener(

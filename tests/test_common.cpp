@@ -1,12 +1,18 @@
 // Unit tests for src/common: ids, time comparison, units, RNG, statistics,
-// table rendering.
+// table rendering, and the shared ThreadPool behind run_sweep.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/ids.hpp"
+#include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -171,6 +177,79 @@ TEST(Table, RendersAlignedRows) {
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
+}
+
+TEST(ThreadPoolTest, SharedPoolHasAtLeastEightParticipants) {
+  // Sized max(8, hardware_concurrency): width-8 dispatches in these tests
+  // reach distinct workers even on small hosts.
+  EXPECT_GE(ThreadPool::shared().concurrency(), 8u);
+}
+
+TEST(ThreadPoolTest, EveryIndexRunsExactlyOnceAtAnyWidth) {
+  ThreadPool& pool = ThreadPool::shared();
+  for (const unsigned width : {1u, 2u, 3u, 8u, 0u}) {
+    constexpr std::size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    pool.run(kN, width, [&](unsigned, std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "width " << width << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, LowestIndexExceptionWinsSerialAndParallel) {
+  ThreadPool& pool = ThreadPool::shared();
+  for (const unsigned width : {1u, 8u}) {
+    std::atomic<std::size_t> attempted{0};
+    bool caught = false;
+    try {
+      pool.run(64, width, [&](unsigned, std::size_t i) {
+        attempted.fetch_add(1, std::memory_order_relaxed);
+        if (i == 7 || i == 3 || i == 40) {
+          throw std::runtime_error("fail@" + std::to_string(i));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_STREQ(e.what(), "fail@3") << "width " << width;
+    }
+    EXPECT_TRUE(caught);
+    // Exceptions do not abort the dispatch: every index is still attempted
+    // (matching the sweep runner's historical contract).
+    EXPECT_EQ(attempted.load(), 64u) << "width " << width;
+  }
+}
+
+TEST(ThreadPoolTest, NestedDispatchRunsInlineSerially) {
+  ThreadPool& pool = ThreadPool::shared();
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+  std::atomic<std::size_t> inner_total{0};
+  std::atomic<bool> saw_region_flag{true};
+  pool.run(8, 8, [&](unsigned, std::size_t) {
+    if (!ThreadPool::in_parallel_region()) saw_region_flag = false;
+    // A nested run must not wait on pool workers (they are busy running
+    // *this* lambda) -- it degrades to an inline serial loop on the
+    // calling worker. Deadlock here would hang the test.
+    std::atomic<std::size_t> local{0};
+    pool.run(16, 8, [&](unsigned w, std::size_t) {
+      EXPECT_EQ(w, 0u);  // inline execution reports worker 0
+      local.fetch_add(1, std::memory_order_relaxed);
+    });
+    inner_total.fetch_add(local.load(), std::memory_order_relaxed);
+  });
+  EXPECT_TRUE(saw_region_flag.load());
+  EXPECT_EQ(inner_total.load(), 8u * 16u);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPoolTest, WidthOneRunsOnCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool::shared().run(4, 1, [&](unsigned w, std::size_t) {
+    EXPECT_EQ(w, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
 }
 
 }  // namespace

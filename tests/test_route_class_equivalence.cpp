@@ -17,7 +17,7 @@
 //      (multi-member classes) plus uninterned direct-path flows (sentinel
 //      singleton classes).
 //   4. Cluster-level differential: 5 schedulers x 2 fabrics x
-//      {incremental, full} x threads {1, 2, 8}, comparing bit-identical
+//      {incremental, full}, comparing bit-identical
 //      ExperimentResults *and* whole trace streams (including the new
 //      kClassFill events, which both granularities must emit identically).
 //   5. Chaos differential: >= 100 distinct flap-heavy fault plans (seed x
@@ -300,39 +300,34 @@ TEST(RouteClassDense, ClassVsPerFlowBitIdenticalOnSharedRoutes) {
 
 using RouteClassEquivalence = eqh::SchedFabricTest;
 
-TEST_P(RouteClassEquivalence, ClassFillBitIdenticalAcrossAllocAndThreads) {
+TEST_P(RouteClassEquivalence, ClassFillBitIdenticalAcrossAllocModes) {
   const auto [sched, fabric] = GetParam();
   const auto jobs = small_trace(11);
   for (const AllocMode alloc :
        {AllocMode::kIncremental, AllocMode::kFullRecompute}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(std::string(alloc == AllocMode::kIncremental
-                                   ? "incremental"
-                                   : "full-recompute") +
-                   " threads=" + std::to_string(threads));
-      obs::TraceRecorder per_flow_trace(1u << 20);
-      obs::TraceRecorder class_trace(1u << 20);
-      RunSpec per_flow{.scheduler = sched,
-                       .fabric = fabric,
-                       .alloc = alloc,
-                       .fill = FillMode::kPerFlow,
-                       .threads = threads,
-                       .trace_sink = &per_flow_trace};
-      RunSpec by_class = per_flow;
-      by_class.fill = FillMode::kClass;
-      by_class.trace_sink = &class_trace;
+    SCOPED_TRACE(alloc == AllocMode::kIncremental ? "incremental"
+                                                  : "full-recompute");
+    obs::TraceRecorder per_flow_trace(1u << 20);
+    obs::TraceRecorder class_trace(1u << 20);
+    RunSpec per_flow{.scheduler = sched,
+                     .fabric = fabric,
+                     .alloc = alloc,
+                     .fill = FillMode::kPerFlow,
+                     .trace_sink = &per_flow_trace};
+    RunSpec by_class = per_flow;
+    by_class.fill = FillMode::kClass;
+    by_class.trace_sink = &class_trace;
 
-      const auto ra = run_cluster(jobs, per_flow);
-      const auto rb = run_cluster(jobs, by_class);
-      expect_same_result(ra, rb);
-      expect_same_trace(per_flow_trace, class_trace);
-      // Both granularities emit the class-census event, one per component
-      // fill -- the per-flow fill computes the partition too, precisely so
-      // the streams stay comparable.
-      EXPECT_GT(class_trace.count(obs::TraceKind::kClassFill), 0u);
-      EXPECT_EQ(class_trace.count(obs::TraceKind::kClassFill),
-                class_trace.count(obs::TraceKind::kCompFill));
-    }
+    const auto ra = run_cluster(jobs, per_flow);
+    const auto rb = run_cluster(jobs, by_class);
+    expect_same_result(ra, rb);
+    expect_same_trace(per_flow_trace, class_trace);
+    // Both granularities emit the class-census event, one per component
+    // fill -- the per-flow fill computes the partition too, precisely so
+    // the streams stay comparable.
+    EXPECT_GT(class_trace.count(obs::TraceKind::kClassFill), 0u);
+    EXPECT_EQ(class_trace.count(obs::TraceKind::kClassFill),
+              class_trace.count(obs::TraceKind::kCompFill));
   }
 }
 
@@ -361,7 +356,6 @@ TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
       SchedulerKind::kFairSharing, SchedulerKind::kSrpt,
       SchedulerKind::kCoflowMadd, SchedulerKind::kEchelonMadd,
       SchedulerKind::kCoordinator};
-  const unsigned thread_cycle[] = {1u, 2u, 8u};
 
   std::uint64_t events_total = 0;
   std::uint64_t interactions_total = 0;
@@ -391,17 +385,14 @@ TEST(RouteClassChaosDifferential, HundredFlapHeavyPlansBitIdentical) {
           faultsim::from_chaos(p, fabric.topo, workers, jobs.size());
       ASSERT_FALSE(plan.empty());
 
-      const unsigned threads = thread_cycle[(s + ki) % 3];
       SCOPED_TRACE("seed " + std::to_string(seed) + " " +
-                   std::string(cluster::to_string(kind)) +
-                   " threads=" + std::to_string(threads));
+                   std::string(cluster::to_string(kind)));
       per_flow_trace.clear();
       class_trace.clear();
       RunSpec per_flow{.scheduler = kind,
                        .fabric = FabricKind::kLeafSpine,
                        .fill = FillMode::kPerFlow,
                        .plan = &plan,
-                       .threads = threads,
                        .trace_sink = &per_flow_trace};
       RunSpec by_class = per_flow;
       by_class.fill = FillMode::kClass;

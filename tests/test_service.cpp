@@ -7,9 +7,8 @@
 //
 //   1. Snapshot/restore bit identity: every-boundary sweep on a small
 //      configuration (results AND split trace streams), then a mid-run
-//      snapshot across the scheduler x fabric x {chaos, none} x threads
-//      {1, 2, 8} matrix.
-//   2. Crash/resume fuzz: >= 100 seeded (trace, scheduler, fabric, threads,
+//      snapshot across the scheduler x fabric x {chaos, none} matrix.
+//   2. Crash/resume fuzz: >= 100 seeded (trace, scheduler, fabric,
 //      admission, burst, cut point) combinations (ECHELON_SERVICE_SEEDS
 //      overrides the budget; CI sanitizer legs set it to 8).
 //   3. Corrupt-snapshot negative fuzz: truncations at every short length and
@@ -80,7 +79,6 @@ using service::TraceFileArrivalReader;
 struct ServiceSpec {
   SchedulerKind scheduler = SchedulerKind::kEchelonMadd;
   FabricKind fabric = FabricKind::kBigSwitch;
-  unsigned threads = 1;
   const FaultPlan* plan = nullptr;
   AdmissionConfig admission;
   double control_period = 0.02;
@@ -94,7 +92,6 @@ ServiceConfig make_config(const ServiceSpec& s) {
   c.hosts = 16;
   c.port_capacity = gbps(25);
   c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.threads = s.threads;
   c.control_period = s.control_period;
   c.admission = s.admission;
   c.fault_plan = s.plan;
@@ -311,7 +308,7 @@ TEST(ServiceSnapshot, SplitTraceStreamMatchesUninterrupted) {
 
 using ServiceSnapshotMatrix = eqh::SchedFabricTest;
 
-TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaosAndThreads) {
+TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaos) {
   const auto [sched, fabric] = GetParam();
   const auto trace = small_arrivals(41);
   const auto built = service_fabric(fabric);
@@ -329,15 +326,11 @@ TEST_P(ServiceSnapshotMatrix, MidRunSnapshotBitIdenticalAcrossChaosAndThreads) {
     const ServiceResult reference = whole->result();
     const std::uint64_t cut = reference.steps / 2;
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      ServiceSpec wide = spec;
-      wide.threads = threads;
-      const ServiceResult resumed = run_with_snapshot_at(wide, trace, cut);
-      expect_same_service_result(reference, resumed);
-      if (HasFailure()) {
-        FAIL() << "first divergence: chaos " << (p != nullptr) << " threads "
-               << threads << " cut " << cut;
-      }
+    const ServiceResult resumed = run_with_snapshot_at(spec, trace, cut);
+    expect_same_service_result(reference, resumed);
+    if (HasFailure()) {
+      FAIL() << "first divergence: chaos " << (p != nullptr) << " cut "
+             << cut;
     }
   }
 }
@@ -357,7 +350,6 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
       SchedulerKind::kEchelonMadd, SchedulerKind::kCoordinator};
   constexpr FabricKind kFabrics[] = {FabricKind::kBigSwitch,
                                      FabricKind::kLeafSpine};
-  constexpr unsigned kThreads[] = {1u, 2u, 8u};
 
   for (int s = 0; s < budget; ++s) {
     const auto seed = static_cast<std::uint64_t>(s);
@@ -367,7 +359,6 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
     ServiceSpec spec;
     spec.scheduler = kKinds[s % 6];
     spec.fabric = kFabrics[(s / 6) % 2];
-    spec.threads = kThreads[s % 3];
     switch (s % 4) {
       case 0:
         spec.admission.policy = AdmissionPolicy::kAcceptAll;
@@ -410,7 +401,7 @@ TEST(ServiceFuzz, CrashResumeManySeededRuns) {
              << cluster::to_string(spec.scheduler) << ", fabric "
              << (spec.fabric == FabricKind::kBigSwitch ? "bigswitch"
                                                        : "leafspine")
-             << ", threads " << spec.threads << ", admission " << (s % 4)
+             << ", admission " << (s % 4)
              << ", chaos " << (s % 2) << ", burst " << burst << ", cut "
              << cut << " of " << reference.steps << ")";
     }
@@ -609,8 +600,9 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
 }
 
 TEST_F(CorruptSnapshotTest, PreviousVersionIsRefused) {
-  // v2: per-flow named fields; v3: scheduler mode in kConfig. No converter.
-  for (const char v : {2, 3}) {
+  // v2: per-flow named fields; v3: scheduler mode in kConfig; v4: thread
+  // count in kConfig. No converter.
+  for (const char v : {2, 3, 4}) {
     std::string m = bytes_;
     m[8] = v;
     EXPECT_NE(expect_snapshot_error(restamp(m)).find("version"),
@@ -758,27 +750,6 @@ TEST(ArrivalGen, CheckpointRestoreResumesBitExactly) {
     for (std::size_t i = 0; i < tail.size(); ++i) {
       EXPECT_BITEQ(tail[i].at, reference[cut + i].at);
       expect_same_job(tail[i].job, reference[cut + i].job, cut + i);
-    }
-  }
-}
-
-TEST(ArrivalGen, JournalIdenticalAcrossThreadCounts) {
-  const auto trace = small_arrivals(67);
-  std::string reference;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    ServiceSpec spec;
-    spec.threads = threads;
-    auto loop = make_loop(spec, trace);
-    loop->drain();
-    std::vector<Arrival> consumed;
-    for (const service::JournalEntry& e : loop->journal()) {
-      consumed.push_back(e.arrival);
-    }
-    const std::string text = service::serialize_arrivals(consumed);
-    if (threads == 1u) {
-      reference = text;
-    } else {
-      EXPECT_EQ(reference, text) << "threads " << threads;
     }
   }
 }

@@ -5,7 +5,7 @@
 //   1. Telemetry-on vs telemetry-off bit identity: every deterministic
 //      ServiceResult field and the whole trace stream are unchanged by any
 //      combination of flusher / SLO tracker / flight recorder / series
-//      budget, across the scheduler x fabric x chaos x threads matrix.
+//      budget, across the scheduler x fabric x chaos matrix.
 //   2. Snapshot/restore mid-flush-window: the restored loop resumes the
 //      flusher, SLO window, and flight ring exactly -- the Prometheus
 //      exposition, SLO digest, and ring digest of a restored-then-drained
@@ -71,7 +71,6 @@ using service::TelemetryConfig;
 struct TelSpec {
   SchedulerKind scheduler = SchedulerKind::kEchelonMadd;
   FabricKind fabric = FabricKind::kBigSwitch;
-  unsigned threads = 1;
   const FaultPlan* plan = nullptr;
   obs::TraceSink* sink = nullptr;
   TelemetryConfig telemetry;
@@ -84,7 +83,6 @@ ServiceConfig make_config(const TelSpec& s) {
   c.hosts = 16;
   c.port_capacity = gbps(25);
   c.oversubscription = s.fabric == FabricKind::kLeafSpine ? 2.0 : 1.0;
-  c.threads = s.threads;
   c.control_period = 0.02;
   c.fault_plan = s.plan;
   c.telemetry = s.telemetry;
@@ -210,37 +208,34 @@ TEST(TelemetryIdentity, OnVsOffAcrossMatrix) {
     for (const FabricKind fabric :
          {FabricKind::kBigSwitch, FabricKind::kLeafSpine}) {
       for (const bool chaos : {false, true}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "sched=" << static_cast<int>(sched)
-                       << " fabric=" << static_cast<int>(fabric)
-                       << " chaos=" << chaos << " threads=" << threads);
-          const auto built = service_fabric(fabric);
-          const FaultPlan plan = service_chaos_plan(7, built.topo);
-          const auto trace = small_arrivals(11);
+        SCOPED_TRACE(::testing::Message()
+                     << "sched=" << static_cast<int>(sched)
+                     << " fabric=" << static_cast<int>(fabric)
+                     << " chaos=" << chaos);
+        const auto built = service_fabric(fabric);
+        const FaultPlan plan = service_chaos_plan(7, built.topo);
+        const auto trace = small_arrivals(11);
 
-          obs::TraceRecorder off_trace;
-          TelSpec off;
-          off.scheduler = sched;
-          off.fabric = fabric;
-          off.threads = threads;
-          off.plan = chaos ? &plan : nullptr;
-          off.sink = &off_trace;
-          auto off_loop = make_loop(off, trace);
-          off_loop->drain();
+        obs::TraceRecorder off_trace;
+        TelSpec off;
+        off.scheduler = sched;
+        off.fabric = fabric;
+        off.plan = chaos ? &plan : nullptr;
+        off.sink = &off_trace;
+        auto off_loop = make_loop(off, trace);
+        off_loop->drain();
 
-          obs::TraceRecorder on_trace;
-          TelSpec on = off;
-          on.sink = &on_trace;
-          on.telemetry = full_telemetry();
-          auto on_loop = make_loop(on, trace);
-          on_loop->drain();
+        obs::TraceRecorder on_trace;
+        TelSpec on = off;
+        on.sink = &on_trace;
+        on.telemetry = full_telemetry();
+        auto on_loop = make_loop(on, trace);
+        on_loop->drain();
 
-          expect_same_outcome(off_loop->result(), on_loop->result());
-          expect_same_trace(off_trace, on_trace);
-          EXPECT_GT(on_loop->telemetry_flushes(), 0u);
-          EXPECT_EQ(off_loop->telemetry_flushes(), 0u);
-        }
+        expect_same_outcome(off_loop->result(), on_loop->result());
+        expect_same_trace(off_trace, on_trace);
+        EXPECT_GT(on_loop->telemetry_flushes(), 0u);
+        EXPECT_EQ(off_loop->telemetry_flushes(), 0u);
       }
     }
   }

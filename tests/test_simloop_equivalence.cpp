@@ -16,7 +16,8 @@
 //      submissions) assert bit-identical completion *traces*: the exact
 //      sequence of (flow id, finish time) pairs, including through
 //      run(deadline) stepping, which exercises the deadline stamp + heap
-//      rebuild path.
+//      rebuild path, including ~800-flow scenarios for the
+//      large-active-set stamp / heap-rebuild shape.
 //   3. run_sweep determinism: N-threaded sweeps produce results identical to
 //      the serial ordering, including with per-job compute jitter (per-job
 //      seeded RNG, so thread assignment cannot leak into results), and
@@ -112,13 +113,42 @@ TEST(SimLoopTrace, SrptBitIdentical) {
 }
 
 TEST(SimLoopTrace, DeadlineSteppedBitIdentical) {
-  for (const std::uint64_t seed : {21u, 1234u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto lazy = eqh::run_sim_scenario(
-        seed, {.loop = SimLoopMode::kLazy, .flows = 40, .stepped = true});
-    const auto eager = eqh::run_sim_scenario(
-        seed, {.loop = SimLoopMode::kEagerScan, .flows = 40, .stepped = true});
+  struct Case {
+    std::uint64_t seed;
+    eqh::ScenarioOptions opt;
+  };
+  // The ~800-flow cases keep the large-active-set shape of the epoch stamp
+  // and the completion-heap rebuild covered, with capacity churn dragging
+  // in the cache-invalidation path, in both allocator modes.
+  const Case cases[] = {
+      {21, {.flows = 40, .stepped = true}},
+      {1234, {.flows = 40, .stepped = true}},
+      {2024,
+       {.alloc = netsim::AllocMode::kIncremental,
+        .flows = 800,
+        .stepped = true,
+        .capacity_churn = true}},
+      {2024,
+       {.alloc = netsim::AllocMode::kFullRecompute,
+        .flows = 800,
+        .stepped = true,
+        .capacity_churn = true}},
+  };
+  for (Case c : cases) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed) + ", " +
+                 std::to_string(c.opt.flows) + " flows");
+    c.opt.loop = SimLoopMode::kLazy;
+    const auto lazy = eqh::run_sim_scenario(c.seed, c.opt);
+    c.opt.loop = SimLoopMode::kEagerScan;
+    const auto eager = eqh::run_sim_scenario(c.seed, c.opt);
+    EXPECT_EQ(lazy.trace.size(), static_cast<std::size_t>(c.opt.flows));
     EXPECT_EQ(lazy.trace, eager.trace);
+    EXPECT_EQ(lazy.alloc_stats.passes, eager.alloc_stats.passes);
+    EXPECT_EQ(lazy.alloc_stats.components, eager.alloc_stats.components);
+    EXPECT_EQ(lazy.alloc_stats.components_reused,
+              eager.alloc_stats.components_reused);
+    EXPECT_EQ(lazy.alloc_stats.components_filled,
+              eager.alloc_stats.components_filled);
   }
 }
 

@@ -22,13 +22,9 @@
 //   --scheduler <name>|all (default all)  --csv PATH (write results CSV)
 //     names: fair|srpt|coflow|sincronia|echelonflow|all
 //   --threads N (default 0 = one per hardware thread; 1 = serial)
-//     scheduler comparisons run through cluster::run_sweep; output is
-//     identical for any thread count.
-//   --intra-threads N (default 1 = serial; 0 = all shared-pool workers)
-//     intra-run data parallelism inside each experiment (per-component
-//     water-fill, flow stamping, heap prep; DESIGN.md §10). Also
-//     bit-identical at any setting, and safe to combine with --threads:
-//     nested dispatches run inline-serially on the shared pool.
+//     scheduler comparisons run through cluster::run_sweep, one sweep
+//     point per scheduler; output is identical for any thread count. Each
+//     experiment itself runs serially (DESIGN.md §10).
 //   --fault-plan PATH   replay a scripted fault plan (src/faultsim format;
 //                       see DESIGN.md §8) against every scheduler
 //   --chaos N           generate N link faults + N brownouts + N stragglers
@@ -52,7 +48,6 @@
 //   --max-running N (default 0 = unlimited)  --queue-cap N (default 16)
 //   --tardiness-limit X seconds (default 1; tardiness-aware load shedding)
 //   --control-period T seconds (default 0.01) forced control-pass interval
-//   --threads N (default 1; negative clamps to 0 = all shared-pool workers)
 //   --chaos N --chaos-seed S --chaos-horizon T   seeded link faults +
 //                       brownouts (stragglers stay 0: service workers are
 //                       created at launch time, after the plan is armed)
@@ -90,8 +85,12 @@
 //                       out of the deterministic registries, exported as a
 //                       "service control" Perfetto process with --trace-out)
 //
-// Numeric flags are parsed strictly: a value that is not entirely a number
-// (`--hosts abc`, `--jobs 3x`) is reported and exits with status 2.
+// Flags are parsed strictly, and any violation is reported and exits with
+// status 2: each subcommand accepts only its documented flags and no other
+// arguments (`fig2` takes none), every flag except --timeline and
+// --profile needs a value (the next argument, which may not start with
+// `--`), and numeric values must be entirely a number (`--hosts abc`,
+// `--jobs 3x`).
 //
 // observability options (both `single` and `cluster`, DESIGN.md §9):
 //   --trace-out PATH    write a Perfetto/Chrome trace_event JSON trace
@@ -118,6 +117,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/sweep.hpp"
 #include "faultsim/fault_plan.hpp"
@@ -154,8 +155,10 @@ using namespace echelon;
 
 struct Args {
   std::map<std::string, std::string> kv;
-  bool flag_timeline = false;
 
+  [[nodiscard]] bool has(const std::string& key) const {
+    return kv.count(key) != 0;
+  }
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def) const {
     const auto it = kv.find(key);
@@ -186,17 +189,69 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv, int from) {
+// The flags each subcommand documents in the header above: `values` take
+// one argument, `switches` none.
+struct FlagSet {
+  std::vector<std::string_view> values;
+  std::vector<std::string_view> switches;
+};
+
+// nullptr for an unknown subcommand.
+[[nodiscard]] const FlagSet* flags_for(std::string_view cmd) {
+  static const FlagSet kFig2;
+  static const FlagSet kSingle{
+      {"paradigm", "scheduler", "ranks", "iterations", "gbps", "microbatches",
+       "layers", "hidden", "jitter", "trace-out", "trace-detail",
+       "metrics-out"},
+      {"timeline"}};
+  static const FlagSet kCluster{
+      {"jobs", "hosts", "seed", "gbps", "iterations", "scheduler", "csv",
+       "threads", "fault-plan", "chaos", "chaos-seed", "chaos-horizon",
+       "trace-out", "trace-detail", "metrics-out"},
+      {}};
+  static const FlagSet kServe{
+      {"scheduler", "fabric", "hosts", "gbps", "oversub", "arrivals", "jobs",
+       "rate", "seed", "iterations", "burst-every", "arrivals-out",
+       "admission", "max-running", "queue-cap", "tardiness-limit",
+       "control-period", "chaos", "chaos-seed", "chaos-horizon",
+       "snapshot-out", "snapshot-every", "snapshot-in", "prom-out",
+       "prom-rotate", "metrics-every", "slo", "slo-window", "flightrec",
+       "flightrec-out", "series-budget", "trace-chunk-out", "trace-out",
+       "trace-detail", "metrics-out"},
+      {"profile"}};
+  if (cmd == "fig2") return &kFig2;
+  if (cmd == "single") return &kSingle;
+  if (cmd == "cluster") return &kCluster;
+  if (cmd == "serve") return &kServe;
+  return nullptr;
+}
+
+// Parses argv[from..] against `flags`; an unknown flag, a stray argument or
+// a flag without its value exits with status 2.
+Args parse(int argc, char** argv, int from, std::string_view cmd,
+           const FlagSet& flags) {
+  const auto listed = [](const std::vector<std::string_view>& names,
+                         std::string_view key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
   Args a;
   for (int i = from; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (key == "timeline") {
-      a.flag_timeline = true;
-    } else if (key == "profile") {
-      a.kv["profile"] = "1";
-    } else if (i + 1 < argc) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      std::cerr << "unexpected argument '" << arg << "'\n";
+      std::exit(2);
+    }
+    const std::string key(arg.substr(2));
+    if (listed(flags.switches, key)) {
+      a.kv[key] = "1";
+    } else if (!listed(flags.values, key)) {
+      std::cerr << "unknown flag --" << key << " for '" << cmd << "'\n";
+      std::exit(2);
+    } else if (i + 1 >= argc ||
+               std::string_view(argv[i + 1]).rfind("--", 0) == 0) {
+      std::cerr << "missing value for --" << key << "\n";
+      std::exit(2);
+    } else {
       a.kv[key] = argv[++i];
     }
   }
@@ -412,7 +467,7 @@ int cmd_single(const Args& args) {
   t.print(std::cout);
   std::cout << "makespan " << Table::num(makespan, 4) << " s, sum tardiness "
             << Table::num(reg.total_tardiness(), 4) << " s\n";
-  if (args.flag_timeline) {
+  if (args.has("timeline")) {
     std::cout << "\n"
               << timeline.render(makespan / 100.0, 100);
   }
@@ -520,10 +575,6 @@ int cmd_cluster(const Args& args) {
     cfg.scheduler = kind;
     cfg.hosts = hosts;
     cfg.port_capacity = gbps(cap_gbps);
-    // Intra-run data parallelism (per-component water-fill etc.); results
-    // are bit-identical at any setting, so this is purely a speed knob.
-    cfg.threads =
-        static_cast<unsigned>(std::max(0, args.geti("intra-threads", 1)));
     if (have_plan) cfg.fault_plan = &plan;
     if (obs_args.tracing() && !obs_args.trace_out.empty()) {
       recorders.push_back(std::make_unique<obs::TraceRecorder>());
@@ -646,7 +697,6 @@ int cmd_serve(const Args& args) {
   cfg.hosts = args.geti("hosts", 16);
   cfg.port_capacity = gbps(args.getd("gbps", 25.0));
   cfg.oversubscription = args.getd("oversub", 2.0);
-  cfg.threads = static_cast<unsigned>(std::max(0, args.geti("threads", 1)));
   cfg.control_period = args.getd("control-period", 0.01);
   try {
     cfg.admission.policy = service::admission_policy_from_string(
@@ -683,7 +733,7 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(std::max(0, args.geti("series-budget", 0)));
   cfg.telemetry.flightrec_capacity =
       static_cast<std::size_t>(std::max(0, args.geti("flightrec", 0)));
-  cfg.telemetry.profile = args.geti("profile", 0) != 0;
+  cfg.telemetry.profile = args.has("profile");
   cfg.telemetry.slo.window = args.getd("slo-window", 10.0);
   if (const std::string spec = args.get("slo", ""); !spec.empty()) {
     std::string err;
@@ -942,7 +992,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args = parse(argc, argv, 2);
+  const FlagSet* flags = flags_for(cmd);
+  if (flags == nullptr) {
+    usage();
+    return 2;
+  }
+  const Args args = parse(argc, argv, 2, cmd, *flags);
   if (cmd == "fig2") return cmd_fig2();
   if (cmd == "single") return cmd_single(args);
   if (cmd == "cluster") return cmd_cluster(args);
