@@ -84,24 +84,16 @@ void BM_RateAllocatorCapped(benchmark::State& state) {
 }
 BENCHMARK(BM_RateAllocatorCapped)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-// --- incremental vs full recompute under per-pass churn ---------------------
+// --- per-pass cap churn ------------------------------------------------------
 //
-// The regime AllocMode::kIncremental targets: a multi-tenant fabric where
-// each control pass touches *one* job's caps (MADD repacing after an
-// iteration boundary) while every other job's allocation inputs are
-// unchanged. `range(0)` link-disjoint "jobs" (one src->dst host pair each)
-// with 32 capped flows per job; every benchmark iteration rewrites one cap
-// in job (iter % jobs) to a genuinely new value, then reallocates.
-// Incremental validates jobs-1 clean components against the cache and
-// water-fills only the dirty one; full recompute refills all of them. The
-// pair of benchmarks quantifies the speedup (BENCH_hotpath.json,
-// "speedup_incremental_one_dirty").
+// A multi-tenant fabric where each control pass touches *one* job's caps
+// (MADD repacing after an iteration boundary). `range(0)` link-disjoint
+// "jobs" (one src->dst host pair each) with 32 capped flows per job; every
+// benchmark iteration rewrites one cap in job (iter % jobs) to a genuinely
+// new value, then reallocates, water-filling every component.
 //
-// OverlapWorstCase is the cache's adversarial input: every flow shares the
-// single bottleneck pair, so each churned cap dirties the one-and-only
-// component and the incremental allocator pays validation-miss plus record
-// re-store on every pass with zero reuse. Its overhead budget vs full
-// recompute is <= 1.15x.
+// Overlap puts every flow on the single bottleneck pair, so the whole
+// population is one component.
 
 struct JobbedPopulation {
   topology::BuiltFabric fabric;
@@ -141,7 +133,7 @@ JobbedPopulation make_jobbed(int n_jobs, int flows_per_job) {
   return p;
 }
 
-// Rewrites one cap in job (iter % n_jobs) through the notification setter.
+// Rewrites one cap in job (iter % n_jobs) through the control setter.
 // The value cycle (0.26/0.52/0.78 Gbps) never collides with the staggered
 // initial caps and never repeats between consecutive visits to the same job
 // (n_jobs % 3 == 1 for all benchmarked sizes), so every pass has exactly
@@ -153,11 +145,11 @@ void churn_one_job(JobbedPopulation& p, std::uint64_t iter) {
       gbps(0.26 * (1.0 + static_cast<double>(iter % 3))));
 }
 
-void one_dirty_loop(benchmark::State& state, netsim::AllocMode mode) {
+void BM_RateAllocatorOneDirtyFull(benchmark::State& state) {
   JobbedPopulation p =
       make_jobbed(static_cast<int>(state.range(0)), /*flows_per_job=*/32);
-  netsim::RateAllocator alloc(&p.fabric.topo, mode);
-  alloc.allocate(p.active);  // warm the arenas (and, in incremental, the cache)
+  netsim::RateAllocator alloc(&p.fabric.topo);
+  alloc.allocate(p.active);  // warm the arenas
   std::uint64_t iter = 0;
   for (auto _ : state) {
     churn_one_job(p, iter++);
@@ -165,29 +157,14 @@ void one_dirty_loop(benchmark::State& state, netsim::AllocMode mode) {
     benchmark::DoNotOptimize(p.active);
   }
   state.SetItemsProcessed(state.iterations() * p.flows.size());
-  const auto& s = alloc.stats();
-  state.counters["reuse_frac"] = benchmark::Counter(
-      s.components == 0
-          ? 0.0
-          : static_cast<double>(s.components_reused) /
-                static_cast<double>(s.components));
-}
-
-void BM_RateAllocatorOneDirtyIncremental(benchmark::State& state) {
-  one_dirty_loop(state, netsim::AllocMode::kIncremental);
-}
-BENCHMARK(BM_RateAllocatorOneDirtyIncremental)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_RateAllocatorOneDirtyFull(benchmark::State& state) {
-  one_dirty_loop(state, netsim::AllocMode::kFullRecompute);
 }
 BENCHMARK(BM_RateAllocatorOneDirtyFull)->Arg(4)->Arg(16)->Arg(64);
 
-void overlap_loop(benchmark::State& state, netsim::AllocMode mode) {
+void BM_RateAllocatorOverlapFull(benchmark::State& state) {
   // One job spanning a single host pair: every flow in one component.
   JobbedPopulation p =
       make_jobbed(/*n_jobs=*/1, static_cast<int>(state.range(0)));
-  netsim::RateAllocator alloc(&p.fabric.topo, mode);
+  netsim::RateAllocator alloc(&p.fabric.topo);
   alloc.allocate(p.active);
   std::uint64_t iter = 0;
   for (auto _ : state) {
@@ -196,15 +173,6 @@ void overlap_loop(benchmark::State& state, netsim::AllocMode mode) {
     benchmark::DoNotOptimize(p.active);
   }
   state.SetItemsProcessed(state.iterations() * p.flows.size());
-}
-
-void BM_RateAllocatorOverlapIncremental(benchmark::State& state) {
-  overlap_loop(state, netsim::AllocMode::kIncremental);
-}
-BENCHMARK(BM_RateAllocatorOverlapIncremental)->Arg(256);
-
-void BM_RateAllocatorOverlapFull(benchmark::State& state) {
-  overlap_loop(state, netsim::AllocMode::kFullRecompute);
 }
 BENCHMARK(BM_RateAllocatorOverlapFull)->Arg(256);
 
@@ -228,7 +196,7 @@ int main(int argc, char** argv) {
       echelon::benchutil::hardware_concurrency_context());
   benchmark::AddCustomContext("echelon_pool_participants",
                               echelon::benchutil::pool_participants_context());
-  // Behavioural fingerprint of the hot path (allocator cache hit rate,
+  // Behavioural fingerprint of the hot path (allocator work counts,
   // reallocation counts, ...) so BENCH_hotpath.json timing shifts can be
   // cross-read against scheduler behaviour (bench_util.hpp).
   benchmark::AddCustomContext("echelon_metrics",

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
       echelon::benchutil::hardware_concurrency_context());
   benchmark::AddCustomContext("echelon_pool_participants",
                               echelon::benchutil::pool_participants_context());
-  // Behavioural fingerprint of the hot path (allocator cache hit rate,
+  // Behavioural fingerprint of the hot path (allocator work counts,
   // reallocation counts, ...) so BENCH_hotpath.json timing shifts can be
   // cross-read against scheduler behaviour (bench_util.hpp).
   benchmark::AddCustomContext("echelon_metrics",

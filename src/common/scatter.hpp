@@ -1,5 +1,5 @@
 // Dense-index counting-sort scatter, shared by the allocator's bucketing
-// passes (component members, dirty-slot route buckets, class-by-component
+// passes (component members, route buckets, class-by-component
 // and member-by-class partitions).
 //
 // The idiom appears wherever a pass needs "group these items by a small

@@ -1,9 +1,11 @@
 #include "faultsim/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace echelon::faultsim {
@@ -115,6 +117,14 @@ std::string serialize(const FaultPlan& plan) {
   return out.str();
 }
 
+namespace {
+
+bool parse_finite(const std::string& token, double& out) {
+  return parse_whole(token, out) && std::isfinite(out);
+}
+
+}  // namespace
+
 FaultPlan parse_fault_plan(std::istream& in) {
   FaultPlan plan;
   std::string line;
@@ -131,50 +141,47 @@ FaultPlan parse_fault_plan(std::istream& in) {
     std::istringstream tok(line);
     std::string first;
     if (!(tok >> first)) continue;  // blank / comment-only line
+    std::string value;
     if (first == "retries") {
-      if (!(tok >> plan.max_retries) || plan.max_retries < 0) {
+      if (!(tok >> value) || !parse_whole(value, plan.max_retries) ||
+          plan.max_retries < 0) {
         fail("expected non-negative integer after 'retries'");
       }
-      continue;
-    }
-    if (first == "backoff") {
-      if (!(tok >> plan.retry_backoff) || plan.retry_backoff <= 0.0) {
+    } else if (first == "backoff") {
+      if (!(tok >> value) || !parse_finite(value, plan.retry_backoff) ||
+          plan.retry_backoff <= 0.0) {
         fail("expected positive duration after 'backoff'");
       }
-      continue;
-    }
-    FaultEvent ev;
-    try {
-      ev.at = std::stod(first);
-    } catch (const std::exception&) {
-      fail("expected event time, 'retries' or 'backoff', got '" + first + "'");
-    }
-    std::string kind_name;
-    if (!(tok >> kind_name)) fail("missing fault kind");
-    const auto kind = kind_from_string(kind_name);
-    if (!kind) fail("unknown fault kind '" + kind_name + "'");
-    ev.kind = *kind;
-    std::string target;
-    if (!(tok >> target)) fail("missing fault target");
-    if (target == "*") {
-      if (ev.kind != FaultKind::kBrownout &&
-          ev.kind != FaultKind::kBrownoutEnd) {
-        fail("'*' target is only valid for brownout events");
-      }
-      ev.target = kAllLinks;
     } else {
-      try {
-        ev.target = std::stoull(target);
-      } catch (const std::exception&) {
-        fail("bad fault target '" + target + "'");
+      FaultEvent ev;
+      if (!parse_finite(first, ev.at)) {
+        fail("expected event time, 'retries' or 'backoff', got '" + first +
+             "'");
       }
-    }
-    if (ev.kind == FaultKind::kBrownout || ev.kind == FaultKind::kStraggler) {
-      if (!(tok >> ev.factor) || ev.factor <= 0.0) {
-        fail("expected positive factor");
+      if (ev.at < 0.0) fail("event time " + first + " is negative");
+      if (!(tok >> value)) fail("missing fault kind");
+      const auto kind = kind_from_string(value);
+      if (!kind) fail("unknown fault kind '" + value + "'");
+      ev.kind = *kind;
+      if (!(tok >> value)) fail("missing fault target");
+      if (value == "*") {
+        if (ev.kind != FaultKind::kBrownout &&
+            ev.kind != FaultKind::kBrownoutEnd) {
+          fail("'*' target is only valid for brownout events");
+        }
+        ev.target = kAllLinks;
+      } else if (!parse_whole(value, ev.target) || ev.target == kAllLinks) {
+        fail("bad fault target '" + value + "'");
       }
+      if (ev.kind == FaultKind::kBrownout || ev.kind == FaultKind::kStraggler) {
+        if (!(tok >> value) || !parse_finite(value, ev.factor) ||
+            ev.factor <= 0.0) {
+          fail("expected positive factor");
+        }
+      }
+      plan.events.push_back(ev);
     }
-    plan.events.push_back(ev);
+    if (tok >> value) fail("unexpected trailing token '" + value + "'");
   }
   return plan;
 }

@@ -101,7 +101,11 @@ struct ChaosProfile {
 //   retries <n>
 //   backoff <seconds>
 //   <time> <kind> <target|*> [factor]
-// '#' starts a comment. parse throws std::invalid_argument on bad input.
+// '#' starts a comment. Every number must be a whole token: times are
+// finite and >= 0, targets unsigned decimals ('*' = every link, brownouts
+// only), factors and the backoff finite and > 0. parse throws
+// std::invalid_argument naming the line on any other input, including
+// trailing tokens.
 [[nodiscard]] std::string serialize(const FaultPlan& plan);
 [[nodiscard]] FaultPlan parse_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan parse_fault_plan(const std::string& text);

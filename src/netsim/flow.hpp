@@ -93,34 +93,10 @@ struct Flow {
   // Explicit rate demand set by a scheduler. The allocator never exceeds it.
   // nullopt = uncapped (pure max-min share).
   std::optional<BytesPerSec> rate_cap;
-  // Cap/weight-change notification consumed by the RateAllocator: true when
-  // a scheduler changed this flow's control inputs since the last
-  // reallocation. Set by the compare-and-set mutators below; direct writes
-  // to `weight` / `rate_cap` remain legal (the incremental allocator also
-  // validates the recorded *values*), but forgo the cheap short-circuit.
-  bool control_dirty = false;
-
-  // Compare-and-set control mutators: no-ops (and no dirty mark) when the
-  // new value equals the current one, so steady-state schedulers that
-  // re-emit identical decisions keep clean components clean.
-  void set_weight(double w) noexcept {
-    if (w != weight) {
-      weight = w;
-      control_dirty = true;
-    }
-  }
-  void set_rate_cap(BytesPerSec cap) noexcept {
-    if (!rate_cap || *rate_cap != cap) {
-      rate_cap = cap;
-      control_dirty = true;
-    }
-  }
-  void clear_rate_cap() noexcept {
-    if (rate_cap) {
-      rate_cap.reset();
-      control_dirty = true;
-    }
-  }
+  // Control setters, the schedulers' write path for weight and cap.
+  void set_weight(double w) noexcept { weight = w; }
+  void set_rate_cap(BytesPerSec cap) noexcept { rate_cap = cap; }
+  void clear_rate_cap() noexcept { rate_cap.reset(); }
 
   // --- data plane (recomputed by the allocator) ---
   BytesPerSec rate = 0.0;

@@ -22,13 +22,15 @@
 //     1 kConfig     ServiceConfig incl. the fault plan's text serialization
 //                   and the TelemetryConfig (v2: metrics_every, series
 //                   budget, flight-recorder capacity, SLO objectives;
-//                   v4: no scheduler mode field; v5: no thread count)
+//                   v4: no scheduler mode field; v5: no thread count;
+//                   v6: no loop/alloc/fill mode fields)
 //     2 kArrivals   journal: count, then {outcome u8, at f64, JobSpec}
 //     3 kGenerator  generator kind + progress (Poisson RNG words / trace
 //                   file cursor) + the fetched-but-unconsumed arrival
 //     4 kService    step counter, tick index, journal length, clocks
 //     5 kVerify     named scalar image ({name, u64 bits} pairs; v4: the
-//                   only sched.* scalar is sched.passes), then the
+//                   only sched.* scalar is sched.passes; v6: no
+//                   alloc.components_reused), then the
 //                   flow table (v3): column count u32, the 12 column names,
 //                   row count u64, one row of 12 little-endian u64 words
 //                   per flow ever submitted
@@ -66,7 +68,10 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'C', 'H', 'S', 'N', 'A', 'P',
 // v4: kConfig drops the scheduler mode; kVerify drops the always-zero
 //     sched.* counters of the retired incremental control plane.
 // v5: kConfig drops the intra-run thread count (every run is serial).
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// v6: kConfig drops the event-loop, allocator and fill mode fields (the
+//     service always runs the production defaults); kVerify drops the
+//     always-zero alloc.components_reused of the retired rate cache.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 // Thrown on any malformed, truncated, corrupt, or divergent snapshot. The
 // message always names what failed and where.

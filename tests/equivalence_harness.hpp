@@ -3,8 +3,8 @@
 // Three production fast paths promise *bit identity* with their reference
 // implementations: the dense-state schedulers/allocator
 // (tests/test_dense_equivalence.cpp), the lazy event loop
-// (tests/test_simloop_equivalence.cpp) and the incremental allocator
-// (tests/test_alloc_equivalence.cpp) -- and since the fault-injection
+// (tests/test_simloop_equivalence.cpp) and the equivalence-class fill
+// (tests/test_route_class_equivalence.cpp) -- and since the fault-injection
 // subsystem, all of the above must stay bit-identical *under fire*
 // (tests/test_faults.cpp). Every suite needs the same scaffolding:
 //
@@ -12,7 +12,7 @@
 //   - a bitwise ExperimentResult comparator,
 //   - the small randomized cluster trace + a run_cluster(jobs, RunSpec)
 //     entry point spanning the full scheduler x fabric x SimLoopMode x
-//     AllocMode (x FaultPlan) matrix,
+//     FillMode (x FaultPlan) matrix,
 //   - the scheduler x fabric gtest param fixture with its name generator,
 //   - the simulator-level randomized completion-trace scenario.
 //
@@ -121,7 +121,6 @@ struct RunSpec {
   cluster::SchedulerKind scheduler = cluster::SchedulerKind::kEchelonMadd;
   cluster::FabricKind fabric = cluster::FabricKind::kBigSwitch;
   netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
-  netsim::AllocMode alloc = netsim::AllocMode::kIncremental;
   // Water-fill granularity -- the axis the route-class differential suite
   // (tests/test_route_class_equivalence.cpp) sweeps: kClass and kPerFlow
   // must produce bit-identical results and trace streams.
@@ -143,7 +142,6 @@ inline cluster::ExperimentResult run_cluster(
   cfg.oversubscription =
       spec.fabric == cluster::FabricKind::kLeafSpine ? 2.0 : 1.0;
   cfg.loop_mode = spec.loop;
-  cfg.alloc_mode = spec.alloc;
   cfg.fill_mode = spec.fill;
   cfg.fault_plan = spec.plan;
   if (spec.trace_sink != nullptr) {
@@ -335,14 +333,13 @@ struct TraceEvent {
 
 struct ScenarioOptions {
   netsim::SimLoopMode loop = netsim::SimLoopMode::kLazy;
-  netsim::AllocMode alloc = netsim::AllocMode::kIncremental;
   int flows = 60;
   // Uneven run(deadline) stepping: exercises the deadline-stamp path
   // (progress must be materialized exactly so the resumed run continues
   // bit-for-bit).
   bool stepped = false;
-  // Timers that degrade and restore random link capacities mid-run: the
-  // capacity-epoch invalidation path of the incremental allocator.
+  // Timers that degrade and restore random link capacities mid-run
+  // (Simulator::invalidate_allocation after a topology write).
   bool capacity_churn = false;
   netsim::NetworkScheduler* sched = nullptr;  // nullptr = fair sharing
 };
@@ -358,11 +355,11 @@ struct ScenarioOutcome {
 // and log-normal sizes, plus no-op timers sprinkled in between (they force
 // event iterations that must not perturb byte accounting). Returns the
 // exact completion trace -- the sequence of (flow id, finish time) pairs --
-// plus the allocator's cache telemetry.
+// plus the allocator's work counts.
 inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
                                         const ScenarioOptions& opt) {
   auto fabric = topology::make_big_switch(8, gbps(10));
-  netsim::Simulator sim(&fabric.topo, opt.loop, opt.alloc);
+  netsim::Simulator sim(&fabric.topo, opt.loop);
   if (opt.sched != nullptr) sim.set_scheduler(opt.sched);
 
   ScenarioOutcome out;
@@ -393,9 +390,8 @@ inline ScenarioOutcome run_sim_scenario(std::uint64_t seed,
   if (opt.capacity_churn) {
     // Degrade a random host port at a random instant, restore it later.
     // Mutating the topology from a timer models mid-run failures; the
-    // simulator is told via invalidate_allocation(), and the incremental
-    // allocator must additionally notice through its capacity-epoch
-    // fingerprint that every cached record is stale.
+    // simulator is told via invalidate_allocation(), and the next pass
+    // must fill against the new capacities.
     topology::Topology* topo = &fabric.topo;
     for (int k = 0; k < 6; ++k) {
       const auto lid = LinkId{rng.uniform_int(fabric.topo.link_count())};

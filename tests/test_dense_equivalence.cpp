@@ -72,10 +72,8 @@ namespace ref {
 // floating-point trajectory is independent of how flows are grouped into
 // fill units, which is what lets the class fill be bit-identical to the
 // per-flow fill. This reference implements exactly that with hash maps and
-// a plain DSU; the production allocator uses epoch-stamped dense scratch, a
-// union-find threaded through the per-link state, and (in kIncremental
-// mode) a converged-rate cache -- see netsim/allocator.cpp and
-// tests/test_alloc_equivalence.cpp for the incremental-vs-full suite.
+// a plain DSU; the production allocator uses epoch-stamped dense scratch and
+// a union-find threaded through the per-link state (netsim/allocator.cpp).
 // Degenerate (<= 0) weights are clamped to kMinFlowWeight, mirroring the
 // production fix for the old divide-by-zero.
 void allocate(const topology::Topology& topo, std::span<Flow*> flows) {
@@ -1171,6 +1169,42 @@ TEST(ZeroAlloc, ControlAndAllocateSteadyState) {
     EXPECT_EQ(n, 0u) << sched->name()
                      << ": steady-state pass performed heap allocations";
   }
+
+  // Cap churn without a scheduler: four disjoint components (one per
+  // src->dst host pair) of four weighted flows each; every pass rewrites
+  // one component's cap, cycling through three values.
+  std::vector<Flow> flows;
+  for (std::uint64_t id = 0; id < 16; ++id) {
+    const std::size_t c = id / 4;
+    Flow f;
+    f.id = FlowId{id};
+    f.spec.src = fabric.hosts[2 * c];
+    f.spec.dst = fabric.hosts[2 * c + 1];
+    f.spec.size = 1e15;
+    f.remaining = f.spec.size;
+    f.path = *fabric.topo.route(f.spec.src, f.spec.dst, id);
+    f.weight = 1.0 + 0.25 * static_cast<double>(id % 4);
+    flows.push_back(std::move(f));
+  }
+  std::vector<Flow*> ptrs;
+  for (Flow& f : flows) ptrs.push_back(&f);
+  netsim::RateAllocator alloc(&fabric.topo);
+  const auto churn = [&](int pass) {
+    flows[static_cast<std::size_t>(4 * (pass % 4))].set_rate_cap(
+        1e9 * (1.0 + pass % 3));
+  };
+  for (int pass = 0; pass < 12; ++pass) {
+    churn(pass);
+    alloc.allocate(ptrs);
+  }
+  eqh::alloc_count_begin();
+  for (int pass = 12; pass < 112; ++pass) {
+    churn(pass);
+    alloc.allocate(ptrs);
+  }
+  const std::uint64_t n = eqh::alloc_count_end();
+  EXPECT_EQ(alloc.stats().components_filled, 112u * 4u);
+  EXPECT_EQ(n, 0u) << "allocate() under cap churn performed heap allocations";
 }
 
 // ============================================================================

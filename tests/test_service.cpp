@@ -601,8 +601,8 @@ TEST_F(CorruptSnapshotTest, HeaderAndVersionMutationsFailTheirOwnChecks) {
 
 TEST_F(CorruptSnapshotTest, PreviousVersionIsRefused) {
   // v2: per-flow named fields; v3: scheduler mode in kConfig; v4: thread
-  // count in kConfig. No converter.
-  for (const char v : {2, 3, 4}) {
+  // count in kConfig; v5: loop/alloc/fill modes in kConfig. No converter.
+  for (const char v : {2, 3, 4, 5}) {
     std::string m = bytes_;
     m[8] = v;
     EXPECT_NE(expect_snapshot_error(restamp(m)).find("version"),

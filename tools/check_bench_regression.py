@@ -44,12 +44,19 @@ iteration, so machine drift cancels) must stay within
 inside one process, so no baseline or calibration is involved -- this is
 the "telemetry costs <= 2 percent" acceptance gate.
 
+Repetitions: the baselines are each the median of 5 repetitions, so the
+fresh side must be too. Run the benches with --benchmark_repetitions=5
+--benchmark_report_aggregates_only=true; each fresh file is compared
+through its "median" aggregates (keyed by run_name, the benchmark name
+without the _median suffix). A file without median aggregates is a usage
+error (exit 2).
+
 Usage:
-  bench_allocator         --benchmark_out=alloc.json --benchmark_out_format=json
-  bench_coordinator_scale --benchmark_out=coord.json --benchmark_out_format=json
-  bench_simloop           --benchmark_out=simloop.json --benchmark_out_format=json
+  REPS="--benchmark_repetitions=5 --benchmark_report_aggregates_only=true"
+  bench_allocator $REPS   --benchmark_out=alloc.json --benchmark_out_format=json
+  bench_simloop $REPS     --benchmark_out=simloop.json --benchmark_out_format=json
   tools/check_bench_regression.py --baseline BENCH_hotpath.json \
-      --tolerance 2.0 alloc.json coord.json simloop.json
+      --tolerance 2.0 alloc.json simloop.json
 
 Exit status: 0 = all within tolerance, 1 = regression, 2 = usage/IO error.
 """
@@ -91,11 +98,11 @@ def check_telemetry_overhead(overhead_ratios, tolerance_pct):
     """Same-run telemetry-on/off ratios exceeding the overhead tolerance.
 
     `overhead_ratios` maps benchmark name -> list of exported
-    telemetry_overhead_ratio counters, one per repetition (on/off
-    wall-clock, interleaved inside one process). The gate applies to the
-    per-name median so --benchmark_repetitions runs are robust to a single
-    noisy repetition. Returns a list of (name, median ratio) failures; runs
-    without the counter degrade to no-op rather than error.
+    telemetry_overhead_ratio counters (on/off wall-clock, interleaved inside
+    one process), each the median aggregate of one file's repetitions. The
+    gate applies to the per-name median. Returns a list of
+    (name, median ratio) failures; runs without the counter degrade to
+    no-op rather than error.
     """
     limit = 1.0 + tolerance_pct / 100.0
     failures = []
@@ -125,10 +132,23 @@ def load_baseline(path):
     return times
 
 
+def fresh_entries(path, doc):
+    """(name, entry) pairs to compare: the "median" aggregates keyed by
+    run_name. Raises ValueError when the file has none."""
+    medians = [(b["run_name"], b) for b in doc.get("benchmarks", [])
+               if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"]
+    if not medians:
+        raise ValueError(
+            f"{path}: no median aggregates; rerun the bench with "
+            "--benchmark_repetitions=5 --benchmark_report_aggregates_only=true"
+        )
+    return medians
+
+
 def load_fresh(paths, require_metrics_context):
-    """(name -> fresh real_time ns, name -> per-repetition
-    telemetry_overhead_ratio counters) across all given benchmark JSON
-    files."""
+    """(name -> fresh real_time ns, name -> telemetry_overhead_ratio
+    counters) across all given benchmark JSON files."""
     times = {}
     overhead = {}
     for path in paths:
@@ -140,12 +160,10 @@ def load_fresh(paths, require_metrics_context):
                 f"{path}: context is missing the echelon_metrics snapshot "
                 "(bench_util.hpp should attach it)"
             )
-        for b in doc.get("benchmarks", []):
-            if b.get("run_type", "iteration") != "iteration":
-                continue
-            times[b["name"]] = float(b["real_time"])
+        for name, b in fresh_entries(path, doc):
+            times[name] = float(b["real_time"])
             if TEL_OVERHEAD_COUNTER in b:
-                overhead.setdefault(b["name"], []).append(
+                overhead.setdefault(name, []).append(
                     float(b[TEL_OVERHEAD_COUNTER]))
     return times, overhead
 

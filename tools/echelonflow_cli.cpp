@@ -108,7 +108,6 @@
 //     flags on or off (tests/test_obs.cpp pins this).
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -124,6 +123,7 @@
 #include "faultsim/fault_plan.hpp"
 #include "cluster/trace.hpp"
 #include "common/csv.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "echelon/aalo.hpp"
@@ -179,9 +179,7 @@ struct Args {
     if (it == kv.end()) return def;
     const std::string& text = it->second;
     T value{};
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || ptr != end) {
+    if (!parse_whole(text, value)) {
       std::cerr << "invalid value '" << text << "' for --" << key << "\n";
       std::exit(2);
     }
